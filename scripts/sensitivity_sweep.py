@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Hyper-parameter sensitivity grid on a synthetic dataset.
 
-Writes a temporary sweep config and delegates to the CLI, producing a
-long-format sweep.csv suitable for plotting accuracy against each axis.
+Writes the sweep config into a temporary directory and delegates to the
+CLI, producing a long-format sweep.csv suitable for plotting accuracy
+against each axis.
 
 Usage:
     python scripts/sensitivity_sweep.py --axis gamma --values 0 0.5 2 8 32
@@ -13,6 +14,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
+from plcp.cli import SWEEP_AXES
 from plcp.cli import main as cli_main
 
 CONFIG_TEMPLATE = """
@@ -37,7 +39,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--axis",
-        choices=["lambda", "alpha", "gamma", "k", "flip_q", "k_neighbors"],
+        choices=list(SWEEP_AXES),
         default="gamma",
     )
     parser.add_argument("--values", type=float, nargs="+", default=[0.0, 0.5, 2.0, 8.0])
@@ -55,10 +57,10 @@ def main():
         axis=args.axis,
         values=",".join(str(v) for v in args.values),
     )
-    with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-        fh.write(config)
-        config_path = fh.name
-    code = cli_main(["sweep", config_path])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "sweep.ini"
+        config_path.write_text(config)
+        code = cli_main(["sweep", str(config_path)])
     if code == 0:
         print(f"wrote {args.outputs / 'sweep.csv'}")
     raise SystemExit(code)

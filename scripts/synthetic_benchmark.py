@@ -11,9 +11,7 @@ Usage:
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from plcp.cli import RESULT_FIELDS, ExperimentConfig, run_seed, write_csv
+from plcp.cli import RESULT_FIELDS, ExperimentConfig, run_seed, summarize, write_csv
 from plcp.data import SyntheticSpec
 from plcp.engine import EngineConfig
 
@@ -53,11 +51,11 @@ def main():
         all_rows.extend({"flip_q": flip_q, **r} for r in rows)
 
         print(f"\nflip_q = {flip_q}  ({args.seeds} seeds, 50/50 split)")
-        for method in sorted({r["method"] for r in rows}):
-            sub = [r for r in rows if r["method"] == method]
+        for entry in summarize(rows):
+            method = entry["method"]
             for key in ("transductive_accuracy", "test_accuracy", "correction_ratio"):
-                vals = np.array([r[key] for r in sub])
-                print(f"  {method:<14} {key:<24} {vals.mean():.4f} +/- {vals.std():.4f}")
+                mean, std = entry[f"{key}_mean"], entry[f"{key}_std"]
+                print(f"  {method:<14} {key:<24} {mean:.4f} +/- {std:.4f}")
 
     if args.csv is not None:
         write_csv(args.csv, ("flip_q",) + RESULT_FIELDS, all_rows)

@@ -87,7 +87,6 @@ def query_outputs(
     supervision: np.ndarray,
     query_features: np.ndarray,
     gram: np.ndarray | None = None,
-    cross: np.ndarray | None = None,
 ) -> np.ndarray:
     """Modeling output for unseen samples (no candidate mask applied)."""
     supervision = np.asarray(supervision, float)
@@ -99,8 +98,7 @@ def query_outputs(
         return _knn_average(supervision, distances, kind.k_neighbors)
     if gram is None:
         gram = kernel.gram_matrix(dataset.features, kind.kernel)
-    if cross is None:
-        cross = kernel.cross_matrix(query_features, dataset.features, kind.kernel)
+    cross = kernel.cross_matrix(query_features, dataset.features, kind.kernel)
     solve = kernel.kkt_solve(gram, supervision, kind.kernel.ridge)
     return kernel.predict(solve, cross)
 

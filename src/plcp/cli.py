@@ -1,13 +1,14 @@
 """Experiment harness: dataset generation, paired runs, sweeps, inspection.
 
-Config files are flat INI (``key = value`` under sections). Every ``run``
-or ``sweep`` writes its resolved configuration next to the results for
-provenance.
+Config files are flat INI (``key = value`` under sections). One table of
+INI keys, each naming the config fields it sets, drives parsing, the
+sweep axes and the resolved configuration that every ``run`` or
+``sweep`` writes next to its results for provenance.
 
 Seeding rule: each run seed expands into per-purpose streams through
-``np.random.SeedSequence(seed).spawn(3)``, consumed in the fixed order
-(dataset, split, base). Appending new consumers never perturbs the
-existing streams.
+``np.random.SeedSequence(seed).spawn(2)``, consumed in the fixed order
+(dataset, split). Appending new consumers never perturbs the existing
+streams.
 
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
@@ -20,20 +21,20 @@ import argparse
 import configparser
 import csv
 import itertools
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from .base import BaseClassifierKind
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split
 from .engine import EngineConfig, run_base_alone, run_plcp
-from .kernel import KernelSpec
 from .metrics import MetricReport, accuracy, correction_metrics
-from .partner import PartnerConfig
 
 RESULT_FIELDS = (
     "method",
@@ -45,7 +46,6 @@ RESULT_FIELDS = (
     "iterations_run",
     "wall_ms",
 )
-SWEEP_AXES = ("lambda", "alpha", "gamma", "k", "flip_q", "k_neighbors")
 OUTPUT_DIR_ENV = "PLCP_OUTPUT_DIR"
 
 
@@ -64,62 +64,148 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.synthetic is None and self.features_path is None:
+        if self.synthetic is None and (
+            self.features_path is None or self.candidates_path is None
+        ):
             raise ValueError("config needs a synthetic spec or dataset file paths")
 
 
-def derive_streams(seed: int) -> tuple[int, int, int]:
-    """Per-purpose child seeds, fixed order: (dataset, split, base)."""
-    children = np.random.SeedSequence(seed).spawn(3)
+def derive_streams(seed: int) -> tuple[int, int]:
+    """Per-purpose child seeds, fixed order: (dataset, split)."""
+    children = np.random.SeedSequence(seed).spawn(2)
     return tuple(int(c.generate_state(1)[0]) for c in children)
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 
 
-def _get(cfg, section, key, conv, default):
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-        if conv is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return conv(raw)
-    return default
+def _bool(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _parse_kernel(cfg) -> KernelSpec:
-    kind = _get(cfg, "kernel", "kind", str, "gaussian").strip()
-    sigma_raw = _get(cfg, "kernel", "sigma", str, "mean-pairwise").strip()
-    sigma = None if sigma_raw == "mean-pairwise" else float(sigma_raw)
-    ridge = _get(cfg, "partner", "ridge", float, 0.05)
-    return KernelSpec(kind=kind, sigma=sigma, ridge=ridge)
+def _seeds(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in raw.split(",") if s.strip())
 
 
-def _parse_engine(cfg) -> EngineConfig:
-    kernel_spec = _parse_kernel(cfg)
-    base_kind = BaseClassifierKind(
-        kind=_get(cfg, "base", "kind", str, "pl-knn").strip(),
-        k_neighbors=_get(cfg, "base", "k_neighbors", int, 10),
-        kernel=kernel_spec,
-        binarize=_get(cfg, "base", "binarize", bool, False),
-    )
-    partner_cfg = PartnerConfig(
-        ridge=_get(cfg, "partner", "ridge", float, 0.05),
-        gamma=_get(cfg, "partner", "gamma", float, 2.0),
-        inner_iters=_get(cfg, "partner", "inner_iters", int, 10),
-        inner_tol=_get(cfg, "partner", "inner_tol", float, 1e-6),
-        kernel=kernel_spec,
-        aggressive=_get(cfg, "partner", "aggressive", bool, False),
-    )
-    return EngineConfig(
-        alpha=_get(cfg, "engine", "alpha", float, 0.5),
-        k=_get(cfg, "engine", "k", float, -1.0),
-        max_iter=_get(cfg, "engine", "max_iter", int, 5),
-        stop_change_frac=_get(cfg, "engine", "stop_change_frac", float, 0.05),
-        base=base_kind,
-        partner=partner_cfg,
-        predict_from_base=_get(cfg, "engine", "predict_from_base", bool, False),
-    )
+@dataclass(frozen=True)
+class IniKey:
+    """One INI key and the dotted config paths its parsed value sets.
+
+    ``none`` is the INI text standing for ``None``; a key without one is
+    left out of the resolved config while its value is ``None``.
+    """
+
+    section: str
+    name: str
+    paths: tuple[str, ...]
+    conv: Callable[[str], Any] = float
+    none: str | None = None
+
+
+_SYNTHETIC_FIELDS = (
+    ("n", int), ("d", int), ("l", int), ("flip_q", float), ("cluster_spread", float)
+)
+# [dataset] keys per source
+DATASET_KEYS = {
+    "synthetic": tuple(
+        IniKey("dataset", name, (f"synthetic.{name}",), conv)
+        for name, conv in _SYNTHETIC_FIELDS
+    ),
+    "files": (
+        IniKey("dataset", "features", ("features_path",), Path),
+        IniKey("dataset", "candidates", ("candidates_path",), Path),
+        IniKey("dataset", "truth", ("truth_path",), Path),
+    ),
+}
+CONFIG_KEYS = (
+    IniKey("engine", "alpha", ("engine.alpha",)),
+    IniKey("engine", "k", ("engine.k",)),
+    IniKey("engine", "max_iter", ("engine.max_iter",), int),
+    IniKey("engine", "stop_change_frac", ("engine.stop_change_frac",)),
+    IniKey("engine", "predict_from_base", ("engine.predict_from_base",), _bool),
+    IniKey("base", "kind", ("engine.base.kind",), str),
+    IniKey("base", "k_neighbors", ("engine.base.k_neighbors",), int),
+    IniKey("base", "binarize", ("engine.base.binarize",), _bool),
+    # one ridge for the partner and the kernel-ls base
+    IniKey("partner", "ridge", ("engine.partner.kernel.ridge", "engine.base.kernel.ridge")),
+    IniKey("partner", "gamma", ("engine.partner.gamma",)),
+    IniKey("partner", "inner_iters", ("engine.partner.inner_iters",), int),
+    IniKey("partner", "inner_tol", ("engine.partner.inner_tol",)),
+    IniKey("partner", "aggressive", ("engine.partner.aggressive",), _bool),
+    IniKey("kernel", "kind", ("engine.partner.kernel.kind", "engine.base.kernel.kind"), str),
+    IniKey(
+        "kernel", "sigma", ("engine.partner.kernel.sigma", "engine.base.kernel.sigma"),
+        none="mean-pairwise",
+    ),
+    IniKey("run", "seeds", ("seeds",), _seeds),
+    IniKey("run", "train_frac", ("train_frac",)),
+    IniKey("run", "outputs", ("outputs",), Path),
+    IniKey("run", "emit_trajectories", ("emit_trajectories",), _bool),
+)
+# the [synthetic] section of a ``generate`` spec, with paths into SyntheticSpec
+GENERATE_KEYS = tuple(
+    IniKey("synthetic", name, (name,), conv)
+    for name, conv in _SYNTHETIC_FIELDS + (("seed", int),)
+)
+
+# sweep axis -> the config path it varies. lambda moves the partner's ridge
+# only; a kernel-ls base keeps the [partner] ridge of the INI file.
+SWEEP_AXES = {
+    "lambda": "engine.partner.kernel.ridge",
+    "alpha": "engine.alpha",
+    "gamma": "engine.partner.gamma",
+    "k": "engine.k",
+    "flip_q": "synthetic.flip_q",
+    "k_neighbors": "engine.base.k_neighbors",
+}
+
+# Defaults of the values the dataclasses leave open; the engine, base,
+# partner and kernel defaults are those of their dataclasses.
+EXPERIMENT_DEFAULTS = ExperimentConfig(
+    engine=EngineConfig(),
+    seeds=(1,),
+    train_frac=0.5,
+    outputs=Path("results"),
+    emit_trajectories=False,
+    synthetic=SyntheticSpec(n=500, d=8, l=5, flip_q=0.3),
+)
+GENERATE_DEFAULTS = SyntheticSpec(n=100, d=2, l=3, flip_q=0.3)
+
+
+def _get_path(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _with(obj, changes: dict[str, Any]):
+    """Copy of a frozen dataclass tree with dotted-path ``changes`` applied.
+
+    Each object is rebuilt once with all of its changes, so its validation
+    sees the final combination of values, never a half-applied one.
+    """
+    direct, nested = {}, {}
+    for path, value in changes.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            direct[head] = value
+    for head, sub in nested.items():
+        direct[head] = _with(getattr(obj, head), sub)
+    return replace(obj, **direct)
+
+
+def _read_keys(cfg: configparser.ConfigParser, keys) -> dict[str, Any]:
+    """Config path -> parsed value, for every key the INI file sets."""
+    changes = {}
+    for key in keys:
+        if cfg.has_option(key.section, key.name):
+            raw = cfg.get(key.section, key.name)
+            value = None if raw == key.none else key.conv(raw)
+            changes.update(dict.fromkeys(key.paths, value))
+    return changes
 
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
@@ -132,93 +218,36 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
 
 def parse_experiment_config(path: str | Path) -> ExperimentConfig:
     cfg = _read_ini(path)
-    source = _get(cfg, "dataset", "source", str, "synthetic").strip()
-    synthetic = None
-    features = candidates = truth = None
-    if source == "synthetic":
-        synthetic = SyntheticSpec(
-            n=_get(cfg, "dataset", "n", int, 500),
-            d=_get(cfg, "dataset", "d", int, 8),
-            l=_get(cfg, "dataset", "l", int, 5),
-            flip_q=_get(cfg, "dataset", "flip_q", float, 0.3),
-            cluster_spread=_get(cfg, "dataset", "cluster_spread", float, 1.0),
-        )
-    elif source == "files":
-        features = Path(cfg.get("dataset", "features"))
-        candidates = Path(cfg.get("dataset", "candidates"))
-        if cfg.has_option("dataset", "truth"):
-            truth = Path(cfg.get("dataset", "truth"))
-    else:
+    source = cfg.get("dataset", "source", fallback="synthetic")
+    if source not in DATASET_KEYS:
         raise ValueError(f"unknown dataset source {source!r}")
+    changes = _read_keys(cfg, DATASET_KEYS[source] + CONFIG_KEYS)
+    if source == "files":
+        changes["synthetic"] = None
+    if OUTPUT_DIR_ENV in os.environ:
+        changes["outputs"] = Path(os.environ[OUTPUT_DIR_ENV])
+    return _with(EXPERIMENT_DEFAULTS, changes)
 
-    seeds = tuple(
-        int(s) for s in _get(cfg, "run", "seeds", str, "1").split(",") if s.strip()
-    )
-    outputs = Path(
-        os.environ.get(OUTPUT_DIR_ENV, _get(cfg, "run", "outputs", str, "results"))
-    )
-    return ExperimentConfig(
-        engine=_parse_engine(cfg),
-        seeds=seeds,
-        train_frac=_get(cfg, "run", "train_frac", float, 0.5),
-        outputs=outputs,
-        emit_trajectories=_get(cfg, "run", "emit_trajectories", bool, False),
-        synthetic=synthetic,
-        features_path=features,
-        candidates_path=candidates,
-        truth_path=truth,
-    )
+
+def _ini_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return _fmt(value)
 
 
 def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
+    source = "synthetic" if exp.synthetic is not None else "files"
     out = configparser.ConfigParser()
-    eng, prt, bs = exp.engine, exp.engine.partner, exp.engine.base
-    out["dataset"] = (
-        {
-            "source": "synthetic",
-            "n": str(exp.synthetic.n),
-            "d": str(exp.synthetic.d),
-            "l": str(exp.synthetic.l),
-            "flip_q": repr(exp.synthetic.flip_q),
-            "cluster_spread": repr(exp.synthetic.cluster_spread),
-        }
-        if exp.synthetic is not None
-        else {
-            "source": "files",
-            "features": str(exp.features_path),
-            "candidates": str(exp.candidates_path),
-            **({"truth": str(exp.truth_path)} if exp.truth_path else {}),
-        }
-    )
-    out["engine"] = {
-        "alpha": repr(eng.alpha),
-        "k": repr(eng.k),
-        "max_iter": str(eng.max_iter),
-        "stop_change_frac": repr(eng.stop_change_frac),
-        "predict_from_base": str(eng.predict_from_base).lower(),
-    }
-    out["base"] = {
-        "kind": bs.kind,
-        "k_neighbors": str(bs.k_neighbors),
-        "binarize": str(bs.binarize).lower(),
-    }
-    out["partner"] = {
-        "ridge": repr(prt.ridge),
-        "gamma": repr(prt.gamma),
-        "inner_iters": str(prt.inner_iters),
-        "inner_tol": repr(prt.inner_tol),
-        "aggressive": str(prt.aggressive).lower(),
-    }
-    out["kernel"] = {
-        "kind": prt.kernel.kind,
-        "sigma": "mean-pairwise" if prt.kernel.sigma is None else repr(prt.kernel.sigma),
-    }
-    out["run"] = {
-        "seeds": ",".join(str(s) for s in exp.seeds),
-        "train_frac": repr(exp.train_frac),
-        "outputs": str(exp.outputs),
-        "emit_trajectories": str(exp.emit_trajectories).lower(),
-    }
+    out["dataset"] = {"source": source}
+    for key in DATASET_KEYS[source] + CONFIG_KEYS:
+        value = _get_path(exp, key.paths[0])
+        if value is None and key.none is None:
+            continue
+        if not out.has_section(key.section):
+            out.add_section(key.section)
+        out.set(key.section, key.name, key.none if value is None else _ini_text(value))
     return out
 
 
@@ -226,35 +255,28 @@ def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
 # running
 
 
-def _method_names(exp: ExperimentConfig) -> tuple[str, str]:
-    base_name = exp.engine.base.kind
-    return base_name, f"{base_name}-plcp"
-
-
 def run_seed(exp: ExperimentConfig, seed: int):
     """One seed's paired base / base-plcp comparison.
 
     Returns (result rows, trajectory rows).
     """
-    dataset_seed, split_seed, base_seed = derive_streams(seed)
+    dataset_seed, split_seed = derive_streams(seed)
     if exp.synthetic is not None:
         dataset = generate_synthetic(replace(exp.synthetic, seed=dataset_seed))
     else:
         dataset = load_dataset(exp.features_path, exp.candidates_path, exp.truth_path)
     train, test = split(dataset, exp.train_frac, split_seed)
-    has_truth = train.ground_truth is not None
-    base_name, plcp_name = _method_names(exp)
+    base_name = exp.engine.base.kind
 
     t0 = time.perf_counter()
     base_train, base_test = run_base_alone(train, test.features, exp.engine.base)
     base_ms = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    report = run_plcp(train, test.features, replace(exp.engine, seed=base_seed))
+    report = run_plcp(train, test.features, exp.engine)
     plcp_ms = 1000.0 * (time.perf_counter() - t0)
 
-    nan = float("nan")
-    if has_truth:
+    if train.ground_truth is not None:
         base_metrics = MetricReport(
             test_accuracy=accuracy(base_test, test.ground_truth),
             transductive_accuracy=accuracy(base_train, train.ground_truth),
@@ -271,24 +293,21 @@ def run_seed(exp: ExperimentConfig, seed: int):
             miscorrection_ratio=miscorr,
         )
     else:
-        base_metrics = MetricReport(nan, nan, nan, nan)
-        plcp_metrics = MetricReport(nan, nan, nan, nan)
+        nan = float("nan")
+        base_metrics = plcp_metrics = MetricReport(nan, nan, nan, nan)
 
     def as_row(method, metrics, iterations, wall_ms):
         return {
             "method": method,
             "seed": seed,
-            "test_accuracy": metrics.test_accuracy,
-            "transductive_accuracy": metrics.transductive_accuracy,
-            "correction_ratio": metrics.correction_ratio,
-            "miscorrection_ratio": metrics.miscorrection_ratio,
+            **asdict(metrics),
             "iterations_run": iterations,
             "wall_ms": wall_ms,
         }
 
     rows = [
         as_row(base_name, base_metrics, 1, base_ms),
-        as_row(plcp_name, plcp_metrics, report.iterations_run, plcp_ms),
+        as_row(f"{base_name}-plcp", plcp_metrics, report.iterations_run, plcp_ms),
     ]
 
     trajectory_rows = []
@@ -349,39 +368,26 @@ def read_results_csv(path: str | Path) -> list[dict]:
     return out
 
 
+# every results column after method and seed
+SUMMARIZED = RESULT_FIELDS[2:]
+SUMMARY_FIELDS = ("method", "n_seeds") + tuple(
+    f"{key}_{stat}" for key in SUMMARIZED for stat in ("mean", "std")
+)
+
+
 def summarize(rows) -> list[dict]:
     methods = sorted({r["method"] for r in rows})
     summary = []
     for method in methods:
         sub = [r for r in rows if r["method"] == method]
         entry = {"method": method, "n_seeds": len(sub)}
-        for key in (
-            "test_accuracy",
-            "transductive_accuracy",
-            "correction_ratio",
-            "miscorrection_ratio",
-            "iterations_run",
-            "wall_ms",
-        ):
+        for key in SUMMARIZED:
             vals = np.array([float(r[key]) for r in sub])
             entry[f"{key}_mean"] = float(vals.mean())
             entry[f"{key}_std"] = float(vals.std())
         summary.append(entry)
     return summary
 
-
-SUMMARY_FIELDS = ("method", "n_seeds") + tuple(
-    f"{key}_{stat}"
-    for key in (
-        "test_accuracy",
-        "transductive_accuracy",
-        "correction_ratio",
-        "miscorrection_ratio",
-        "iterations_run",
-        "wall_ms",
-    )
-    for stat in ("mean", "std")
-)
 
 TRAJECTORY_FIELDS = (
     "seed",
@@ -425,30 +431,13 @@ def run_experiment(exp: ExperimentConfig) -> int:
 
 
 def _apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    eng = exp.engine
-    if axis == "lambda":
-        kernel_spec = replace(eng.partner.kernel, ridge=value)
-        return replace(
-            exp,
-            engine=replace(
-                eng, partner=replace(eng.partner, ridge=value, kernel=kernel_spec)
-            ),
-        )
-    if axis == "alpha":
-        return replace(exp, engine=replace(eng, alpha=value))
-    if axis == "gamma":
-        return replace(exp, engine=replace(eng, partner=replace(eng.partner, gamma=value)))
-    if axis == "k":
-        return replace(exp, engine=replace(eng, k=value))
-    if axis == "flip_q":
-        if exp.synthetic is None:
-            raise ValueError("flip_q axis requires a synthetic dataset source")
-        return replace(exp, synthetic=replace(exp.synthetic, flip_q=value))
-    if axis == "k_neighbors":
-        return replace(
-            exp, engine=replace(eng, base=replace(eng.base, k_neighbors=int(value)))
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    """``exp`` with one sweep axis set to ``value``, cast to the field's type."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis == "flip_q" and exp.synthetic is None:
+        raise ValueError("flip_q axis requires a synthetic dataset source")
+    path = SWEEP_AXES[axis]
+    return _with(exp, {path: type(_get_path(exp, path))(value)})
 
 
 def run_sweep(config_path: str | Path) -> int:
@@ -456,17 +445,14 @@ def run_sweep(config_path: str | Path) -> int:
     exp = parse_experiment_config(config_path)
     if not cfg.has_section("sweep"):
         raise ValueError("sweep command requires a [sweep] section")
-    max_cells = _get(cfg, "sweep", "max_cells", int, 1000)
-    axes = []
-    for axis in SWEEP_AXES:
-        if cfg.has_option("sweep", axis):
-            values = [float(v) for v in cfg.get("sweep", axis).split(",") if v.strip()]
-            axes.append((axis, values))
-    if not axes:
-        axes = [("__cell__", [0.0])]  # degenerate grid: a single cell
-    n_cells = 1
-    for _, values in axes:
-        n_cells *= len(values)
+    max_cells = cfg.getint("sweep", "max_cells", fallback=1000)
+    axes = {
+        axis: [float(v) for v in cfg.get("sweep", axis).split(",") if v.strip()]
+        for axis in SWEEP_AXES
+        if cfg.has_option("sweep", axis)
+    }
+    # with no axes the grid is the single cell of the configured values
+    n_cells = math.prod(len(values) for values in axes.values())
     if n_cells > max_cells:
         print(
             f"sweep grid has {n_cells} cells, above the cap of {max_cells}; "
@@ -476,15 +462,11 @@ def run_sweep(config_path: str | Path) -> int:
         return 2
 
     exp.outputs.mkdir(parents=True, exist_ok=True)
-    axis_names = [name for name, _ in axes if name != "__cell__"]
     rows, failures = [], []
-    for combo in itertools.product(*(values for _, values in axes)):
+    for combo in itertools.product(*axes.values()):
+        cell_id = dict(zip(axes, combo))
         cell = exp
-        cell_id = {}
-        for (axis, _), value in zip(axes, combo):
-            if axis == "__cell__":
-                continue
-            cell_id[axis] = value
+        for axis, value in cell_id.items():
             cell = _apply_axis(cell, axis, value)
         for seed in exp.seeds:
             try:
@@ -497,16 +479,13 @@ def run_sweep(config_path: str | Path) -> int:
             for row in seed_rows:
                 rows.append({**cell_id, **row})
 
-    fields = tuple(axis_names) + RESULT_FIELDS
-    write_csv(exp.outputs / "sweep.csv", fields, rows)
+    write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
     with open(exp.outputs / "resolved_config.ini", "w") as fh:
         out = _resolved_ini(exp)
-        out["sweep"] = {name: cfg.get("sweep", name) for name, _ in axes if name != "__cell__"}
+        out["sweep"] = {axis: cfg.get("sweep", axis) for axis in axes}
         out.write(fh)
     if failures:
-        write_csv(
-            exp.outputs / "failures.csv", tuple(axis_names) + ("seed", "error"), failures
-        )
+        write_csv(exp.outputs / "failures.csv", tuple(axes) + ("seed", "error"), failures)
         print(f"{len(failures)} sweep runs failed; see failures.csv", file=sys.stderr)
         return 1
     return 0
@@ -518,16 +497,9 @@ def run_sweep(config_path: str | Path) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _read_ini(args.spec)
-    spec = SyntheticSpec(
-        n=_get(cfg, "synthetic", "n", int, 100),
-        d=_get(cfg, "synthetic", "d", int, 2),
-        l=_get(cfg, "synthetic", "l", int, 3),
-        flip_q=_get(cfg, "synthetic", "flip_q", float, 0.3),
-        cluster_spread=_get(cfg, "synthetic", "cluster_spread", float, 1.0),
-        seed=_get(cfg, "synthetic", "seed", int, 0),
-    )
+    spec = _with(GENERATE_DEFAULTS, _read_keys(cfg, GENERATE_KEYS))
     out_dir = Path(
-        os.environ.get(OUTPUT_DIR_ENV, _get(cfg, "output", "dir", str, "dataset"))
+        os.environ.get(OUTPUT_DIR_ENV, cfg.get("output", "dir", fallback="dataset"))
     )
     paths = save_dataset(generate_synthetic(spec), out_dir)
     for name, path in paths.items():

@@ -16,6 +16,10 @@ import numpy as np
 from . import blur
 
 
+class InvariantViolation(AssertionError):
+    """An internal consistency check on a computed state failed."""
+
+
 @dataclass(frozen=True)
 class PartialLabelDataset:
     """Feature matrix plus candidate-label mask, with optional ground truth.

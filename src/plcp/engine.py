@@ -19,16 +19,12 @@ from . import base as base_mod
 from . import blur, kernel, partner
 from .core import (
     ConfidenceState,
+    InvariantViolation,
     PartialLabelDataset,
     init_confidence,
     update_labeling_confidence,
     update_noncandidate_confidence,
 )
-from .metrics import MetricReport
-
-
-class InvariantViolation(AssertionError):
-    """A per-iteration consistency check on the confidence state failed."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,6 @@ class EngineConfig:
     stop_change_frac: float = 0.05
     base: base_mod.BaseClassifierKind = field(default_factory=base_mod.BaseClassifierKind)
     partner: partner.PartnerConfig = field(default_factory=partner.PartnerConfig)
-    seed: int = 0
     # diagnostics: predict test labels from the base's final output instead
     # of the partner
     predict_from_base: bool = False
@@ -73,7 +68,6 @@ class RunReport:
     final_state: ConfidenceState
     train_predictions: np.ndarray
     test_predictions: np.ndarray
-    metrics: MetricReport | None = None
 
 
 def should_stop(
@@ -167,7 +161,11 @@ def run_plcp(
     if base_kind.kind == "kernel-ls":
         base_spec = _pin_sigma(base_kind.kernel, x)
         base_kind = replace(base_kind, kernel=base_spec)
-        base_gram = gram if base_spec == partner_spec else kernel.gram_matrix(x, base_spec)
+        # the gram depends on kind and sigma only, not on the ridge
+        if (base_spec.kind, base_spec.sigma) == (partner_spec.kind, partner_spec.sigma):
+            base_gram = gram
+        else:
+            base_gram = kernel.gram_matrix(x, base_spec)
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
@@ -199,7 +197,8 @@ def run_plcp(
         if stop:
             break
 
-    assert partner_model is not None
+    if partner_model is None:
+        raise InvariantViolation("the loop ran no round")
     train_predictions = _masked_argmax(state.p, y)
     if test_features.shape[0] == 0:
         test_predictions = np.zeros(0, dtype=int)

@@ -28,8 +28,7 @@ class KernelSpec:
 
     ``sigma=None`` resolves the Gaussian bandwidth to the mean pairwise
     distance of the training samples (self-pairs excluded). ``ridge`` is
-    the weight-norm penalty used by solves that take their penalty from
-    the spec.
+    the weight-norm penalty of the ridge solve.
     """
 
     kind: str = "gaussian"

@@ -13,14 +13,13 @@ class MetricReport:
     transductive_accuracy: float
     correction_ratio: float
     miscorrection_ratio: float
-    tolerance_accuracy: dict[int, float] | None = None
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of exact label matches."""
-    pred, truth = np.asarray(pred), np.asarray(truth)
-    if truth is None or truth.size == 0:
+    if truth is None or np.size(truth) == 0:
         raise ValueError("ground truth required for accuracy")
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth must have equal length")
     return float(np.mean(pred == truth))

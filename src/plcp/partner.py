@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, qp
-from .core import PartialLabelDataset
+from .core import InvariantViolation, PartialLabelDataset
 
 
 @dataclass(frozen=True)
 class PartnerConfig:
-    ridge: float = 0.05
+    """Partner settings; the ridge penalty is ``kernel.ridge``."""
+
     gamma: float = 2.0
     inner_iters: int = 10
     inner_tol: float = 1e-6
@@ -30,8 +31,6 @@ class PartnerConfig:
     aggressive: bool = False
 
     def __post_init__(self):
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.inner_iters < 1:
@@ -58,7 +57,8 @@ def _objective(
     fit_term = float(((j - c) ** 2).sum())
     # ridge * ||W||^2 in dual form: trace(A^T K A) / (4 * ridge)
     a = solve.dual_coeffs
-    norm_term = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * config.ridge)
+    ridge = config.kernel.ridge
+    norm_term = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * ridge)
     return fit_term + _coupling(o, c, config) + norm_term
 
 
@@ -97,7 +97,7 @@ def fit_partner(
     c = None
     for _ in range(config.inner_iters):
         c = _solve_c(j, o, yhat, config)
-        solve = kernel.kkt_solve(gram, c, config.ridge)
+        solve = kernel.kkt_solve(gram, c, config.kernel.ridge)
         j = kernel.training_output(solve)
         trace.append(_objective(j, c, o, solve, config))
         if len(trace) >= 2:
@@ -105,9 +105,12 @@ def fit_partner(
             if abs(prev - curr) <= config.inner_tol * max(1.0, abs(prev)):
                 break
 
-    assert c is not None and solve is not None
-    assert (c >= yhat - 1e-9).all() and (c <= 1.0 + 1e-9).all()
-    assert np.abs(c.sum(axis=1) - (dataset.label_count - 1)).max() <= 1e-9
+    if c is None or solve is None:
+        raise InvariantViolation("the partner ran no inner iteration")
+    if not ((c >= yhat - 1e-9).all() and (c <= 1.0 + 1e-9).all()):
+        raise InvariantViolation("partner c left the [yhat, 1] box")
+    if not np.abs(c.sum(axis=1) - (dataset.label_count - 1)).max() <= 1e-9:
+        raise InvariantViolation("partner c rows must sum to l - 1")
     return PartnerModel(solve=solve, c=c, objective_trace=np.asarray(trace))
 
 

@@ -1,7 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from plcp.cli import (
+    _apply_axis,
+    _resolved_ini,
     derive_streams,
     main,
     parse_experiment_config,
@@ -37,6 +41,94 @@ seeds = {seeds}
 train_frac = 0.5
 outputs = {out_dir}
 emit_trajectories = {emit}
+"""
+
+FULL_CONFIG = """
+[dataset]
+source = synthetic
+n = 40
+d = 3
+l = 4
+flip_q = 0.2
+cluster_spread = 1.5
+
+[engine]
+alpha = 0.4
+k = -2
+max_iter = 3
+
+[base]
+kind = kernel-ls
+
+[partner]
+ridge = 0.1
+gamma = 3.0
+
+[kernel]
+kind = gaussian
+sigma = 2.5
+
+[run]
+seeds = 3,4
+train_frac = 0.6
+outputs = out
+"""
+
+# resolved_config.ini of FULL_CONFIG: every key, defaults filled in
+FULL_RESOLVED = """[dataset]
+source = synthetic
+n = 40
+d = 3
+l = 4
+flip_q = 0.2
+cluster_spread = 1.5
+
+[engine]
+alpha = 0.4
+k = -2.0
+max_iter = 3
+stop_change_frac = 0.05
+predict_from_base = false
+
+[base]
+kind = kernel-ls
+k_neighbors = 10
+binarize = false
+
+[partner]
+ridge = 0.1
+gamma = 3.0
+inner_iters = 10
+inner_tol = 1e-06
+aggressive = false
+
+[kernel]
+kind = gaussian
+sigma = 2.5
+
+[run]
+seeds = 3,4
+train_frac = 0.6
+outputs = out
+emit_trajectories = false
+
+"""
+
+FILES_CONFIG = """
+[dataset]
+source = files
+features = data/features.csv
+candidates = data/candidates.csv
+truth = data/truth.csv
+
+[engine]
+predict_from_base = true
+
+[kernel]
+kind = linear
+
+[run]
+outputs = out
 """
 
 
@@ -238,49 +330,77 @@ class TestConfigPlumbing:
         assert derive_streams(7) == derive_streams(7)
         assert derive_streams(7) != derive_streams(8)
 
+    def test_derive_streams_are_the_first_spawned_children(self):
+        children = np.random.SeedSequence(7).spawn(3)[:2]
+        assert derive_streams(7) == tuple(int(c.generate_state(1)[0]) for c in children)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_experiment_config(tmp_path / "missing.ini")
 
     def test_full_config_parsed(self, tmp_path):
-        cfg = write(
-            tmp_path / "full.ini",
-            """
-[dataset]
-source = synthetic
-n = 40
-d = 3
-l = 4
-flip_q = 0.2
-cluster_spread = 1.5
-
-[engine]
-alpha = 0.4
-k = -2
-max_iter = 3
-
-[base]
-kind = kernel-ls
-
-[partner]
-ridge = 0.1
-gamma = 3.0
-
-[kernel]
-kind = gaussian
-sigma = 2.5
-
-[run]
-seeds = 3,4
-train_frac = 0.6
-outputs = out
-""",
-        )
+        cfg = write(tmp_path / "full.ini", FULL_CONFIG)
         exp = parse_experiment_config(cfg)
         assert exp.synthetic.n == 40
         assert exp.engine.alpha == 0.4
         assert exp.engine.base.kind == "kernel-ls"
-        assert exp.engine.partner.ridge == 0.1
+        assert exp.engine.partner.kernel.ridge == 0.1
         assert exp.engine.partner.kernel.sigma == 2.5
         assert exp.seeds == (3, 4)
         assert exp.train_frac == 0.6
+
+    def test_resolved_config_text(self, tmp_path):
+        exp = parse_experiment_config(write(tmp_path / "full.ini", FULL_CONFIG))
+        text = io.StringIO()
+        _resolved_ini(exp).write(text)
+        assert text.getvalue() == FULL_RESOLVED
+
+    @pytest.mark.parametrize("config", [FULL_CONFIG, FILES_CONFIG], ids=["synthetic", "files"])
+    def test_resolved_config_parses_back(self, tmp_path, config):
+        exp = parse_experiment_config(write(tmp_path / "a.ini", config))
+        with open(tmp_path / "resolved.ini", "w") as fh:
+            _resolved_ini(exp).write(fh)
+        assert parse_experiment_config(tmp_path / "resolved.ini") == exp
+
+    def test_files_source_needs_candidates(self, tmp_path):
+        cfg = write(
+            tmp_path / "a.ini", "[dataset]\nsource = files\nfeatures = f.csv\n"
+        )
+        with pytest.raises(ValueError, match="dataset file paths"):
+            parse_experiment_config(cfg)
+
+
+class TestApplyAxis:
+    @pytest.fixture
+    def exp(self, tmp_path):
+        return parse_experiment_config(write(tmp_path / "full.ini", FULL_CONFIG))
+
+    @pytest.mark.parametrize(
+        "axis, value, read",
+        [
+            ("lambda", 0.3, lambda e: e.engine.partner.kernel.ridge),
+            ("alpha", 0.7, lambda e: e.engine.alpha),
+            ("gamma", 8.0, lambda e: e.engine.partner.gamma),
+            ("k", -4.0, lambda e: e.engine.k),
+            ("flip_q", 0.45, lambda e: e.synthetic.flip_q),
+            ("k_neighbors", 4.0, lambda e: e.engine.base.k_neighbors),
+        ],
+    )
+    def test_axis_sets_its_field(self, exp, axis, value, read):
+        cell = _apply_axis(exp, axis, value)
+        assert read(cell) == value
+        assert type(read(cell)) is type(read(exp))
+        assert _apply_axis(cell, axis, read(exp)) == exp
+
+    def test_lambda_leaves_base_ridge(self, exp):
+        cell = _apply_axis(exp, "lambda", 0.3)
+        assert cell.engine.base.kernel.ridge == exp.engine.base.kernel.ridge == 0.1
+
+    def test_unknown_axis(self, exp):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            _apply_axis(exp, "sigma", 1.0)
+
+    def test_flip_q_needs_synthetic_source(self, tmp_path):
+        exp = parse_experiment_config(write(tmp_path / "files.ini", FILES_CONFIG))
+        with pytest.raises(ValueError, match="synthetic dataset source"):
+            _apply_axis(exp, "flip_q", 0.2)

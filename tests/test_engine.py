@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from plcp import kernel
 from plcp.base import BaseClassifierKind
 from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, generate_synthetic, split
@@ -125,6 +126,26 @@ class TestRunPlcp:
         report = run_plcp(train, test.features, EngineConfig(base=kind))
         acc = accuracy(report.test_predictions, test.ground_truth)
         assert acc > 0.5
+
+    def test_kernel_ls_base_shares_gram_across_ridges(self, monkeypatch):
+        # a lambda sweep cell: the partner's ridge differs from the base's,
+        # but the gram depends on kind and sigma only, so it is built once
+        calls = []
+        original = kernel.gram_matrix
+
+        def counting(x, spec):
+            calls.append(spec)
+            return original(x, spec)
+
+        monkeypatch.setattr(kernel, "gram_matrix", counting)
+        config = EngineConfig(
+            base=BaseClassifierKind(kind="kernel-ls"),
+            partner=PartnerConfig(kernel=KernelSpec(ridge=0.2)),
+            max_iter=2,
+        )
+        ds = generate_synthetic(SyntheticSpec(n=60, d=3, l=3, flip_q=0.3, seed=21))
+        run_plcp(ds, ds.features[:5], config)
+        assert len(calls) == 1
 
     def test_binarized_supervision_path(self):
         kind = BaseClassifierKind(kind="pl-knn", binarize=True)

@@ -19,6 +19,11 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("truth", [None, np.array([], dtype=int)])
+    def test_missing_truth(self, truth):
+        with pytest.raises(ValueError, match="ground truth required"):
+            accuracy(np.array([0]), truth)
+
 
 class TestCorrectionMetrics:
     def test_extremes(self):

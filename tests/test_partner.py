@@ -36,7 +36,7 @@ def objective(j, c, o, solve, config):
     fit = float(((j - c) ** 2).sum())
     coupling = config.gamma * float((o * c).sum())
     a = solve.dual_coeffs
-    norm = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * config.ridge)
+    norm = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * config.kernel.ridge)
     return fit + coupling + norm
 
 
@@ -60,7 +60,7 @@ class TestFitPartner:
         c_start = feasible_complement_start(dataset)
         np.testing.assert_allclose(model.c, c_start, atol=1e-9)
         gram = gram_matrix(dataset.features, config.kernel)
-        expected = training_output(kkt_solve(gram, c_start, config.ridge))
+        expected = training_output(kkt_solve(gram, c_start, config.kernel.ridge))
         np.testing.assert_allclose(
             training_output(model.solve), expected, atol=1e-10
         )
@@ -104,7 +104,7 @@ class TestFitPartner:
             c_rand = solve_matrix(
                 rng.normal(size=o.shape), np.zeros_like(o), yhat, gamma=0.0
             )
-            solve = kkt_solve(gram, c_rand, config.ridge)
+            solve = kkt_solve(gram, c_rand, config.kernel.ridge)
             candidate_obj = objective(
                 training_output(solve), c_rand, o, solve, config
             )
