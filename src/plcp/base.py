@@ -3,7 +3,9 @@
 Two bases cover the coupling paths the mutual-supervision loop must
 support: neighbor averaging of supervision rows (confidence-friendly
 PL-KNN) and a kernel least-squares regression onto the supervision, which
-shares the partner's dual solver.
+shares the partner's dual solver. Neither changes between rounds of a run:
+PL-KNN searches its neighbours once per run, in blocks of rows, and the
+kernel least-squares base reuses one factored ridge system.
 """
 
 from __future__ import annotations
@@ -41,19 +43,81 @@ class BaseClassifierKind:
             raise ValueError("k_neighbors must be positive")
 
 
-def _knn_average(
-    supervision: np.ndarray, distances: np.ndarray, k_neighbors: int
+# distances per block of the neighbour search: 2 MiB of float64
+_BLOCK_DISTANCES = 1 << 18
+
+
+def _block_rows(n_train: int) -> int:
+    """Query rows per block of the neighbour search against ``n_train`` rows."""
+    return max(1, _BLOCK_DISTANCES // n_train)
+
+
+def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
+    # The k-th smallest distance of a row bounds its neighbours. Every
+    # distance up to that bound stays a candidate, ties included; a stable
+    # sort of the candidates, kept in index order, then ranks equal
+    # distances by index, exactly as a stable argsort of the whole row.
+    bound = np.partition(distances, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(distances <= bound)
+    counts = np.bincount(rows, minlength=distances.shape[0])
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cand = np.zeros((distances.shape[0], counts.max()), dtype=np.intp)
+    cand_d = np.full(cand.shape, np.inf)
+    cand[rows, slots] = cols
+    cand_d[rows, slots] = distances[rows, cols]
+    order = np.argsort(cand_d, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1)
+
+
+def neighbour_table(
+    query: np.ndarray, train: np.ndarray, k: int, exclude_self: bool = False
 ) -> np.ndarray:
-    # stable sort keeps tie handling deterministic: lower index wins
-    order = np.argsort(distances, axis=1, kind="stable")[:, :k_neighbors]
-    return supervision[order].mean(axis=1)
+    """Indices of the ``k`` nearest train rows of every query row, nearest first.
+
+    Equal distances rank by train index, as in a stable argsort of each
+    row of the distance matrix. With ``exclude_self`` the query rows are
+    the train rows and no row is its own neighbour. The search runs over
+    blocks of query rows, so the full query-by-train distance matrix never
+    exists.
+    """
+    query, train = np.asarray(query, float), np.asarray(train, float)
+    if not np.isfinite(query).all():
+        raise ValueError("query features contain NaN or Inf")
+    table = np.empty((query.shape[0], k), dtype=np.intp)
+    step = _block_rows(train.shape[0])
+    for start in range(0, query.shape[0], step):
+        distances = cdist(query[start : start + step], train)
+        if exclude_self:
+            rows = np.arange(distances.shape[0])
+            distances[rows, start + rows] = np.inf
+        table[start : start + step] = _nearest(distances, k)
+    return table
+
+
+def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
+    """What every fit of ``kind`` on ``dataset`` shares.
+
+    PL-KNN gets its neighbour table (self excluded), the kernel least-squares
+    base the ridge system of its gram.
+    """
+    if kind.kind == "pl-knn":
+        n = dataset.n_samples
+        if kind.k_neighbors >= n:
+            raise ValueError(
+                f"k_neighbors={kind.k_neighbors} must be below the sample count {n}"
+            )
+        return neighbour_table(
+            dataset.features, dataset.features, kind.k_neighbors, exclude_self=True
+        )
+    gram = kernel.gram_matrix(dataset.features, kind.kernel)
+    return kernel.ridge_system(gram, kind.kernel.ridge)
 
 
 def fit_predict_base(
     kind: BaseClassifierKind,
     dataset: PartialLabelDataset,
     supervision: np.ndarray,
-    gram: np.ndarray | None = None,
+    prepared: np.ndarray | kernel.RidgeSystem | None = None,
 ) -> np.ndarray:
     """Train-side modeling output of the base under the given supervision.
 
@@ -61,24 +125,17 @@ def fit_predict_base(
     neighbors (self excluded) and masks the result by the candidate set;
     the blend/clamp step downstream handles normalization. The kernel
     least-squares base returns the ridge regression output onto the
-    supervision.
+    supervision. ``prepared`` is what :func:`prepare` returns for ``kind``
+    and ``dataset``, built here when absent.
     """
     supervision = np.asarray(supervision, float)
     if supervision.shape != dataset.candidates.shape:
         raise ValueError("supervision shape must match the candidate matrix")
+    if prepared is None:
+        prepared = prepare(kind, dataset)
     if kind.kind == "pl-knn":
-        n = dataset.n_samples
-        if kind.k_neighbors >= n:
-            raise ValueError(
-                f"k_neighbors={kind.k_neighbors} must be below the sample count {n}"
-            )
-        distances = cdist(dataset.features, dataset.features)
-        np.fill_diagonal(distances, np.inf)
-        return _knn_average(supervision, distances, kind.k_neighbors) * dataset.candidates
-    if gram is None:
-        gram = kernel.gram_matrix(dataset.features, kind.kernel)
-    solve = kernel.kkt_solve(gram, supervision, kind.kernel.ridge)
-    return kernel.training_output(solve)
+        return supervision[prepared].mean(axis=1) * dataset.candidates
+    return kernel.training_output(kernel.kkt_solve(prepared, supervision))
 
 
 def query_outputs(
@@ -86,21 +143,24 @@ def query_outputs(
     dataset: PartialLabelDataset,
     supervision: np.ndarray,
     query_features: np.ndarray,
-    gram: np.ndarray | None = None,
+    system: kernel.RidgeSystem | None = None,
 ) -> np.ndarray:
-    """Modeling output for unseen samples (no candidate mask applied)."""
+    """Modeling output for unseen samples (no candidate mask applied).
+
+    ``system`` is the kernel least-squares base's ridge system, built here
+    when absent; PL-KNN searches the query rows' neighbours itself.
+    """
     supervision = np.asarray(supervision, float)
     query_features = np.asarray(query_features, float)
     if kind.kind == "pl-knn":
         if kind.k_neighbors > dataset.n_samples:
             raise ValueError("k_neighbors exceeds the training sample count")
-        distances = cdist(query_features, dataset.features)
-        return _knn_average(supervision, distances, kind.k_neighbors)
-    if gram is None:
-        gram = kernel.gram_matrix(dataset.features, kind.kernel)
+        table = neighbour_table(query_features, dataset.features, kind.k_neighbors)
+        return supervision[table].mean(axis=1)
+    if system is None:
+        system = prepare(kind, dataset)
     cross = kernel.cross_matrix(query_features, dataset.features, kind.kernel)
-    solve = kernel.kkt_solve(gram, supervision, kind.kernel.ridge)
-    return kernel.predict(solve, cross)
+    return kernel.predict(kernel.kkt_solve(system, supervision), cross)
 
 
 def binarize_supervision(

@@ -81,7 +81,10 @@ def derive_streams(seed: int) -> tuple[int, int]:
 
 
 def _bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    text = raw.strip().lower()
+    if text not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"{raw!r} is not 1/true/yes/on or 0/false/no/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[text]
 
 
 def _seeds(raw: str) -> tuple[int, ...]:
@@ -197,13 +200,26 @@ def _with(obj, changes: dict[str, Any]):
     return replace(obj, **direct)
 
 
-def _read_keys(cfg: configparser.ConfigParser, keys) -> dict[str, Any]:
-    """Config path -> parsed value, for every key the INI file sets."""
+def _read_keys(cfg: configparser.ConfigParser, keys, also=()) -> dict[str, Any]:
+    """Config path -> parsed value, for every key the INI file sets.
+
+    A section of ``keys`` may hold only their names and the (section, name)
+    pairs of ``also``; any other key there is a typo and raises.
+    """
+    known = {(key.section, key.name) for key in keys} | set(also)
+    for section in sorted({section for section, _ in known}):
+        if cfg.has_section(section):
+            for name in cfg.options(section):
+                if (section, name) not in known:
+                    raise ValueError(f"[{section}] {name}: unknown key")
     changes = {}
     for key in keys:
         if cfg.has_option(key.section, key.name):
             raw = cfg.get(key.section, key.name)
-            value = None if raw == key.none else key.conv(raw)
+            try:
+                value = None if raw == key.none else key.conv(raw)
+            except ValueError as exc:
+                raise ValueError(f"[{key.section}] {key.name}: {exc}") from exc
             changes.update(dict.fromkeys(key.paths, value))
     return changes
 
@@ -221,7 +237,7 @@ def parse_experiment_config(path: str | Path) -> ExperimentConfig:
     source = cfg.get("dataset", "source", fallback="synthetic")
     if source not in DATASET_KEYS:
         raise ValueError(f"unknown dataset source {source!r}")
-    changes = _read_keys(cfg, DATASET_KEYS[source] + CONFIG_KEYS)
+    changes = _read_keys(cfg, DATASET_KEYS[source] + CONFIG_KEYS, also=[("dataset", "source")])
     if source == "files":
         changes["synthetic"] = None
     if OUTPUT_DIR_ENV in os.environ:
@@ -255,22 +271,37 @@ def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
 # running
 
 
-def run_seed(exp: ExperimentConfig, seed: int):
-    """One seed's paired base / base-plcp comparison.
-
-    Returns (result rows, trajectory rows).
-    """
+def _split(exp: ExperimentConfig, seed: int):
     dataset_seed, split_seed = derive_streams(seed)
     if exp.synthetic is not None:
         dataset = generate_synthetic(replace(exp.synthetic, seed=dataset_seed))
     else:
         dataset = load_dataset(exp.features_path, exp.candidates_path, exp.truth_path)
-    train, test = split(dataset, exp.train_frac, split_seed)
-    base_name = exp.engine.base.kind
+    return split(dataset, exp.train_frac, split_seed)
 
-    t0 = time.perf_counter()
-    base_train, base_test = run_base_alone(train, test.features, exp.engine.base)
-    base_ms = 1000.0 * (time.perf_counter() - t0)
+
+def run_seed(exp: ExperimentConfig, seed: int, memo: dict | None = None):
+    """One seed's paired base / base-plcp comparison.
+
+    ``memo`` keeps each seed's split, and its base-alone run per base
+    config, for later calls on the same dataset and ``train_frac``; neither
+    depends on the other settings. Returns (result rows, trajectory rows).
+    """
+    memo = {} if memo is None else memo
+    data_key = (
+        seed, exp.synthetic, exp.features_path, exp.candidates_path, exp.truth_path,
+        exp.train_frac,
+    )
+    if data_key not in memo:
+        memo[data_key] = _split(exp, seed)
+    train, test = memo[data_key]
+    base_key = data_key + (exp.engine.base,)
+    if base_key not in memo:
+        t0 = time.perf_counter()
+        base_train, base_test = run_base_alone(train, test.features, exp.engine.base)
+        memo[base_key] = base_train, base_test, 1000.0 * (time.perf_counter() - t0)
+    base_train, base_test, base_ms = memo[base_key]
+    base_name = exp.engine.base.kind
 
     t0 = time.perf_counter()
     report = run_plcp(train, test.features, exp.engine)
@@ -445,6 +476,9 @@ def run_sweep(config_path: str | Path) -> int:
     exp = parse_experiment_config(config_path)
     if not cfg.has_section("sweep"):
         raise ValueError("sweep command requires a [sweep] section")
+    for name in cfg.options("sweep"):
+        if name not in SWEEP_AXES and name != "max_cells":
+            raise ValueError(f"[sweep] {name}: unknown key")
     max_cells = cfg.getint("sweep", "max_cells", fallback=1000)
     axes = {
         axis: [float(v) for v in cfg.get("sweep", axis).split(",") if v.strip()]
@@ -462,7 +496,7 @@ def run_sweep(config_path: str | Path) -> int:
         return 2
 
     exp.outputs.mkdir(parents=True, exist_ok=True)
-    rows, failures = [], []
+    rows, failures, memo = [], [], {}
     for combo in itertools.product(*axes.values()):
         cell_id = dict(zip(axes, combo))
         cell = exp
@@ -470,7 +504,7 @@ def run_sweep(config_path: str | Path) -> int:
             cell = _apply_axis(cell, axis, value)
         for seed in exp.seeds:
             try:
-                seed_rows, _ = run_seed(cell, seed)
+                seed_rows, _ = run_seed(cell, seed, memo)
             except Exception as exc:
                 failures.append(
                     {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}

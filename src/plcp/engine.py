@@ -155,17 +155,22 @@ def run_plcp(
     partner_spec = _pin_sigma(config.partner.kernel, x)
     partner_cfg = replace(config.partner, kernel=partner_spec)
     gram = kernel.gram_matrix(x, partner_spec)
+    system = kernel.ridge_system(gram, partner_spec.ridge)
 
+    # built once, shared by every round: the kNN table or the ridge system
     base_kind = config.base
-    base_gram = None
-    if base_kind.kind == "kernel-ls":
+    if base_kind.kind == "pl-knn":
+        base_prepared = base_mod.prepare(base_kind, dataset)
+    else:
         base_spec = _pin_sigma(base_kind.kernel, x)
         base_kind = replace(base_kind, kernel=base_spec)
-        # the gram depends on kind and sigma only, not on the ridge
-        if (base_spec.kind, base_spec.sigma) == (partner_spec.kind, partner_spec.sigma):
-            base_gram = gram
+        if base_spec == partner_spec:
+            base_prepared = system
+        elif (base_spec.kind, base_spec.sigma) == (partner_spec.kind, partner_spec.sigma):
+            # the gram depends on kind and sigma only, not on the ridge
+            base_prepared = kernel.ridge_system(gram, base_spec.ridge)
         else:
-            base_gram = kernel.gram_matrix(x, base_spec)
+            base_prepared = base_mod.prepare(base_kind, dataset)
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
@@ -177,11 +182,11 @@ def run_plcp(
         supervision = state.ohat
         if base_kind.binarize:
             supervision = base_mod.binarize_supervision(state.ohat, state.p, y)
-        m = base_mod.fit_predict_base(base_kind, dataset, supervision, gram=base_gram)
+        m = base_mod.fit_predict_base(base_kind, dataset, supervision, base_prepared)
         p_new = update_labeling_confidence(state.p, m, y, config.alpha)
         o_new = blur.blur_labeling(p_new, y, config.k)
 
-        partner_model = partner.fit_partner(dataset, o_new, partner_cfg, gram=gram)
+        partner_model = partner.fit_partner(dataset, o_new, partner_cfg, system)
         mhat = kernel.training_output(partner_model.solve)
         phat_new = update_noncandidate_confidence(state.phat, mhat, yhat, config.alpha)
         ohat_new = blur.blur_noncandidate(phat_new, y, config.k)
@@ -206,8 +211,9 @@ def run_plcp(
         supervision = state.ohat
         if base_kind.binarize:
             supervision = base_mod.binarize_supervision(state.ohat, state.p, y)
+        base_system = base_prepared if base_kind.kind == "kernel-ls" else None
         m_test = base_mod.query_outputs(
-            base_kind, dataset, supervision, test_features, gram=base_gram
+            base_kind, dataset, supervision, test_features, base_system
         )
         test_predictions = np.argmax(m_test, axis=1)
     else:
@@ -237,13 +243,14 @@ def run_base_alone(
     """
     x = dataset.features
     test_features = _as_test_matrix(dataset, test_features)
-    kind_eff = kind
-    if kind.kind == "kernel-ls":
-        kind_eff = replace(kind, kernel=_pin_sigma(kind.kernel, x))
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
-    m_train = base_mod.fit_predict_base(kind_eff, dataset, p0)
-    train_labels = _masked_argmax(m_train, dataset.candidates)
-    if test_features.shape[0] == 0:
-        return train_labels, np.zeros(0, dtype=int)
-    m_test = base_mod.query_outputs(kind_eff, dataset, p0, test_features)
-    return train_labels, np.argmax(m_test, axis=1)
+    if kind.kind == "pl-knn":
+        m_train = base_mod.fit_predict_base(kind, dataset, p0)
+        m_test = base_mod.query_outputs(kind, dataset, p0, test_features)
+    else:
+        kind = replace(kind, kernel=_pin_sigma(kind.kernel, x))
+        # one gram, one factor and one solve serve the train and the test rows
+        solve = kernel.kkt_solve(base_mod.prepare(kind, dataset), p0)
+        m_train = kernel.training_output(solve)
+        m_test = kernel.predict(solve, kernel.cross_matrix(test_features, x, kind.kernel))
+    return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

@@ -10,7 +10,9 @@ an unpenalized bias, expressed through its stationarity system: with
 
 and the modeling output is ``K A / (2*ridge) + 1 bias^T``. ``B`` is
 symmetric positive definite for any PSD kernel matrix, so a Cholesky
-factorization is always applicable.
+factorization is always applicable. ``B`` and ``s`` depend on the gram and
+the ridge only, so a :class:`RidgeSystem` factors them once per (gram,
+ridge) and every solve onto a new target ``C`` reuses that factor.
 """
 
 from __future__ import annotations
@@ -45,12 +47,28 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
+class RidgeSystem:
+    """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
+
+    Built by :func:`ridge_system`; every :func:`kkt_solve` on it reuses the
+    factor and ``s_row``.
+    """
+
+    gram: np.ndarray  # (n, n)
+    ridge: float
+    factor: tuple  # lower Cholesky factor of B, as cho_factor returns it
+    s_row: np.ndarray  # (n,) 1^T B^{-1}
+
+
+@dataclass(frozen=True)
 class KernelSolve:
-    """Dual solve result: coefficients, bias, and the cached inputs."""
+    """Dual solve result: coefficients, bias, and the inputs prediction reads.
+
+    It keeps the gram but not the factor, which a fitted model never needs.
+    """
 
     dual_coeffs: np.ndarray  # (n, l)
     bias: np.ndarray  # (l,)
-    s_row: np.ndarray  # (n,)
     gram: np.ndarray  # (n, n)
     ridge: float
 
@@ -72,6 +90,13 @@ def resolve_sigma(x: np.ndarray, spec: KernelSpec) -> float:
     return sigma
 
 
+def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
+    # exp(-sq / (2 sigma^2)) in place: an n x n kernel needs no temporaries
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma**2
+    return np.exp(sq, out=sq)
+
+
 def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Train-by-train kernel matrix."""
     x = np.asarray(x, float)
@@ -80,8 +105,7 @@ def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == "linear":
         return x @ x.T
     sigma = resolve_sigma(x, spec)
-    sq = squareform(pdist(x, "sqeuclidean"))
-    return np.exp(-sq / (2.0 * sigma**2))
+    return _gaussian(squareform(pdist(x, "sqeuclidean")), sigma)
 
 
 def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -90,43 +114,63 @@ def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> 
     if spec.kind == "linear":
         return x_query @ x_train.T
     sigma = resolve_sigma(x_train, spec)
-    sq = cdist(x_query, x_train, "sqeuclidean")
-    return np.exp(-sq / (2.0 * sigma**2))
+    return _gaussian(cdist(x_query, x_train, "sqeuclidean"), sigma)
 
 
-def kkt_solve(k_gram: np.ndarray, target: np.ndarray, ridge: float) -> KernelSolve:
-    """Closed-form dual ridge solve onto ``target``.
+def ridge_system(k_gram: np.ndarray, ridge: float) -> RidgeSystem:
+    """Factor ``B = K/(2*ridge) + I/2`` once for every solve on this gram.
 
     Raises a descriptive error when the (theoretically SPD) system turns
     out numerically singular, which indicates a broken kernel matrix.
     """
     k_gram = np.asarray(k_gram, float)
-    target = np.asarray(target, float)
     n = k_gram.shape[0]
     if k_gram.shape != (n, n):
         raise ValueError("kernel matrix must be square")
-    if target.shape[0] != n:
-        raise ValueError(
-            f"target has {target.shape[0]} rows, kernel matrix is {n}x{n}"
-        )
     if ridge <= 0:
         raise ValueError("ridge must be positive")
+    if not np.isfinite(k_gram).all():
+        raise ValueError("kernel matrix contains NaN or Inf")
 
-    b_sys = k_gram / (2.0 * ridge) + 0.5 * np.eye(n)
+    # Fortran order lets the factorization overwrite B instead of copying it
+    b_sys = np.divide(k_gram, 2.0 * ridge, order="F")
+    b_sys[np.diag_indices(n)] += 0.5
     try:
-        factor = cho_factor(b_sys, lower=True)
+        factor = cho_factor(b_sys, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
-        cond = np.linalg.cond(b_sys)
+        cond = np.linalg.cond(k_gram / (2.0 * ridge) + 0.5 * np.eye(n))
         raise RuntimeError(
             f"singular ridge system (condition number {cond:.3e}); "
             "check the kernel matrix for NaN or non-PSD structure"
         ) from exc
-    s_row = cho_solve(factor, np.ones(n))
+    s_row = cho_solve(factor, np.ones(n), check_finite=False)
+    return RidgeSystem(gram=k_gram, ridge=ridge, factor=factor, s_row=s_row)
+
+
+def kkt_solve(
+    system: RidgeSystem | np.ndarray, target: np.ndarray, ridge: float | None = None
+) -> KernelSolve:
+    """Closed-form dual ridge solve onto ``target``.
+
+    ``system`` is a prebuilt :class:`RidgeSystem`, or a kernel matrix that
+    is factored with ``ridge`` for this one solve.
+    """
+    if not isinstance(system, RidgeSystem):
+        if ridge is None:
+            raise ValueError("a kernel matrix needs its ridge")
+        system = ridge_system(system, ridge)
+    elif ridge is not None:
+        raise ValueError("a prebuilt ridge system carries its own ridge")
+    target = np.asarray(target, float)
+    n = system.gram.shape[0]
+    if target.shape[0] != n:
+        raise ValueError(
+            f"target has {target.shape[0]} rows, kernel matrix is {n}x{n}"
+        )
+    s_row = system.s_row
     bias = (s_row @ target) / s_row.sum()
-    dual = cho_solve(factor, target - np.outer(np.ones(n), bias))
-    return KernelSolve(
-        dual_coeffs=dual, bias=bias, s_row=s_row, gram=k_gram, ridge=ridge
-    )
+    dual = cho_solve(system.factor, target - bias, check_finite=False)
+    return KernelSolve(dual_coeffs=dual, bias=bias, gram=system.gram, ridge=system.ridge)
 
 
 def predict(model: KernelSolve, k_cross: np.ndarray) -> np.ndarray:

@@ -57,8 +57,7 @@ def _objective(
     fit_term = float(((j - c) ** 2).sum())
     # ridge * ||W||^2 in dual form: trace(A^T K A) / (4 * ridge)
     a = solve.dual_coeffs
-    ridge = config.kernel.ridge
-    norm_term = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * ridge)
+    norm_term = float((a * (solve.gram @ a)).sum()) / (4.0 * solve.ridge)
     return fit_term + _coupling(o, c, config) + norm_term
 
 
@@ -77,19 +76,23 @@ def fit_partner(
     dataset: PartialLabelDataset,
     o_supervision: np.ndarray,
     config: PartnerConfig,
-    gram: np.ndarray | None = None,
+    system: kernel.RidgeSystem | None = None,
 ) -> PartnerModel:
     """Fit the partner on candidate-side supervision ``o_supervision``.
 
-    ``gram`` may carry a precomputed train kernel matrix; it is never
-    mutated and can be shared across repeated fits on the same dataset.
+    ``system`` may carry the ridge system of the train gram under
+    ``config.kernel``; it is never mutated and can be shared across
+    repeated fits on the same dataset.
     """
     o = np.asarray(o_supervision, float)
     if o.shape != dataset.candidates.shape:
         raise ValueError("supervision shape must match the candidate matrix")
     yhat = dataset.noncandidates
-    if gram is None:
+    if system is None:
         gram = kernel.gram_matrix(dataset.features, config.kernel)
+        system = kernel.ridge_system(gram, config.kernel.ridge)
+    elif system.ridge != config.kernel.ridge:
+        raise ValueError("the ridge system's ridge differs from config.kernel.ridge")
 
     j = np.zeros_like(o)
     trace: list[float] = []
@@ -97,7 +100,7 @@ def fit_partner(
     c = None
     for _ in range(config.inner_iters):
         c = _solve_c(j, o, yhat, config)
-        solve = kernel.kkt_solve(gram, c, config.kernel.ridge)
+        solve = kernel.kkt_solve(system, c)
         j = kernel.training_output(solve)
         trace.append(_objective(j, c, o, solve, config))
         if len(trace) >= 2:

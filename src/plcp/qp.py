@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import InvariantViolation
+
 NU_TOL = 1e-12
 MAX_BISECT = 200
 
@@ -61,8 +63,10 @@ def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]
     nu_lo = float((-g - 2.0 * hi).min())
     nu_hi = float((-g - 2.0 * lo).max())
     # bracketing: sum is maximal (= sum of uppers) at nu_lo, minimal at nu_hi
-    assert _clip_map(nu_lo, g, lo, hi).sum() >= problem.sum_target - 1e-9
-    assert _clip_map(nu_hi, g, lo, hi).sum() <= problem.sum_target + 1e-9
+    if not _clip_map(nu_lo, g, lo, hi).sum() >= problem.sum_target - 1e-9:
+        raise InvariantViolation("bracket end nu_lo gives a sum below the target")
+    if not _clip_map(nu_hi, g, lo, hi).sum() <= problem.sum_target + 1e-9:
+        raise InvariantViolation("bracket end nu_hi gives a sum above the target")
     for _ in range(MAX_BISECT):
         if nu_hi - nu_lo <= NU_TOL:
             break

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from plcp.base import (
     BaseClassifierKind,
+    _block_rows,
     binarize_supervision,
     fit_predict_base,
+    neighbour_table,
     query_outputs,
 )
 from plcp.core import PartialLabelDataset
@@ -54,6 +57,52 @@ class TestPlKnn:
         ds = dataset_from([[0.0], [1.0]], [[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="k_neighbors"):
             fit_predict_base(BaseClassifierKind(k_neighbors=2), ds, ds.candidates)
+
+
+def grid_points(rng, rows):
+    # integer grid features: most distances tie with many others
+    return rng.integers(0, 4, size=(rows, 2)).astype(float)
+
+
+def stable_argsort_table(query, train, k, exclude_self=False):
+    distances = cdist(query, train)
+    if exclude_self:
+        np.fill_diagonal(distances, np.inf)
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
+class TestNeighbourTable:
+    # a train set of 600 rows splits the query rows into blocks of 436
+    N_TRAIN = 600
+
+    # 600 rows are not a multiple of their block size; 512 rows fill one block
+    @pytest.mark.parametrize("n", [N_TRAIN, 512])
+    @pytest.mark.parametrize("k", [1, 7, "n-1"])
+    def test_fit_path_matches_stable_argsort(self, n, k):
+        k = n - 1 if k == "n-1" else k
+        x = grid_points(np.random.default_rng(n), n)
+        np.testing.assert_array_equal(
+            neighbour_table(x, x, k, exclude_self=True),
+            stable_argsort_table(x, x, k, exclude_self=True),
+        )
+
+    @pytest.mark.parametrize("rows", [100, _block_rows(N_TRAIN), 1000])
+    @pytest.mark.parametrize("k", [1, 7, N_TRAIN])
+    def test_query_path_matches_stable_argsort(self, rows, k):
+        rng = np.random.default_rng(rows)
+        train, query = grid_points(rng, self.N_TRAIN), grid_points(rng, rows)
+        np.testing.assert_array_equal(
+            neighbour_table(query, train, k), stable_argsort_table(query, train, k)
+        )
+
+    def test_block_sizes_cover_the_cases(self):
+        step = _block_rows(self.N_TRAIN)
+        assert 100 < step < self.N_TRAIN and self.N_TRAIN % step and 1000 % step
+        assert _block_rows(512) == 512
+
+    def test_non_finite_query_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            neighbour_table(np.array([[np.nan]]), np.zeros((3, 1)), 1)
 
 
 class TestKernelLs:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from plcp import cli
 from plcp.cli import (
     _apply_axis,
     _resolved_ini,
@@ -302,6 +303,38 @@ class TestSweep:
         )
         assert main(["sweep", cfg]) == 2
 
+    def test_base_alone_runs_once_per_seed(self, tmp_path, monkeypatch):
+        # the base-alone run depends on neither alpha nor gamma
+        calls = []
+        original = cli.run_base_alone
+
+        def counting(train, test_features, kind):
+            calls.append(kind)
+            return original(train, test_features, kind)
+
+        monkeypatch.setattr(cli, "run_base_alone", counting)
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nalpha = 0.3,0.7\ngamma = 0,2\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        assert len(calls) == 2
+        rows = read_results_csv(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 2 * 4 * 2
+        base = [r for r in rows if r["method"] == "pl-knn"]
+        for seed in (1, 2):
+            assert len({r["test_accuracy"] for r in base if r["seed"] == seed}) == 1
+
+    def test_unknown_sweep_key_rejected(self, tmp_path):
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\ngama = 0,2\n",
+        )
+        with pytest.raises(ValueError, match=r"\[sweep\] gama"):
+            main(["sweep", cfg])
+
 
 class TestInspect:
     def test_prints_stats(self, tmp_path, capsys):
@@ -404,3 +437,50 @@ class TestApplyAxis:
         exp = parse_experiment_config(write(tmp_path / "files.ini", FILES_CONFIG))
         with pytest.raises(ValueError, match="synthetic dataset source"):
             _apply_axis(exp, "flip_q", 0.2)
+
+
+class TestIniTypos:
+    def parse(self, tmp_path, text):
+        return parse_experiment_config(write(tmp_path / "a.ini", text))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"\[partner\] gama: unknown key"):
+            self.parse(tmp_path, "[partner]\ngama = 8\n")
+
+    def test_key_of_the_other_dataset_source_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"\[dataset\] n: unknown key"):
+            self.parse(
+                tmp_path,
+                "[dataset]\nsource = files\nfeatures = f.csv\ncandidates = c.csv\nn = 5\n",
+            )
+
+    @pytest.mark.parametrize("text", ["ture", "2", ""])
+    def test_bad_boolean_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError, match=r"\[base\] binarize: .*not 1/true"):
+            self.parse(tmp_path, f"[base]\nbinarize = {text}\n")
+
+    @pytest.mark.parametrize(
+        "text, value", [("1", True), ("Yes", True), ("on", True), ("0", False), ("off", False)]
+    )
+    def test_boolean_spellings(self, tmp_path, text, value):
+        assert self.parse(tmp_path, f"[base]\nbinarize = {text}\n").engine.base.binarize is value
+
+    def test_bad_number_names_its_key(self, tmp_path):
+        with pytest.raises(ValueError, match=r"\[engine\] max_iter"):
+            self.parse(tmp_path, "[engine]\nmax_iter = three\n")
+
+    def test_source_and_sweep_keys_stay_valid(self, tmp_path):
+        exp = self.parse(
+            tmp_path, "[dataset]\nsource = synthetic\n[sweep]\nmax_cells = 4\nfoo = 1\n"
+        )
+        assert exp.synthetic is not None
+
+    def test_generate_output_dir_stays_valid(self, tmp_path):
+        spec = write(tmp_path / "spec.ini", GEN_SPEC.format(flip_q=0.3, out_dir=tmp_path / "d"))
+        assert main(["generate", spec]) == 0
+        assert (tmp_path / "d" / "features.csv").exists()
+
+    def test_generate_unknown_key_rejected(self, tmp_path):
+        spec = write(tmp_path / "spec.ini", "[synthetic]\nflipq = 0.3\n")
+        with pytest.raises(ValueError, match=r"\[synthetic\] flipq: unknown key"):
+            main(["generate", spec])

@@ -13,6 +13,19 @@ from plcp.metrics import accuracy
 from plcp.partner import PartnerConfig
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def blob_run(seed=7, n=200, l=4, flip_q=0.5, **cfg_kwargs):
     ds = generate_synthetic(SyntheticSpec(n=n, d=4, l=l, flip_q=flip_q, seed=seed))
     train, test = split(ds, 0.5, seed=seed + 1)
@@ -147,6 +160,29 @@ class TestRunPlcp:
         run_plcp(ds, ds.features[:5], config)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "base, partner_ridge, factors",
+        [
+            ("pl-knn", 0.05, 1),
+            ("kernel-ls", 0.05, 1),
+            # a lambda cell: the base keeps its ridge, so it needs its own factor
+            ("kernel-ls", 0.2, 2),
+        ],
+    )
+    def test_factors_once_per_ridge(self, monkeypatch, base, partner_ridge, factors):
+        calls = count_calls(monkeypatch, kernel, "cho_factor")
+        config = EngineConfig(
+            base=BaseClassifierKind(kind=base),
+            partner=PartnerConfig(kernel=KernelSpec(ridge=partner_ridge)),
+            max_iter=3,
+            stop_change_frac=0.0,
+            predict_from_base=True,
+        )
+        ds = generate_synthetic(SyntheticSpec(n=60, d=3, l=3, flip_q=0.3, seed=21))
+        report = run_plcp(ds, ds.features[:5], config)
+        assert report.iterations_run == 3
+        assert len(calls) == factors
+
     def test_binarized_supervision_path(self):
         kind = BaseClassifierKind(kind="pl-knn", binarize=True)
         _, test, report = blob_run(seed=15, base=kind)
@@ -193,3 +229,15 @@ def test_run_base_alone_uses_candidate_mask():
     # sample 1 only has label 0 as candidate
     assert train_labels[1] == 0
     assert test_labels.shape == (2,)
+
+
+@pytest.mark.parametrize("n_test", [0, 7])
+def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test):
+    grams = count_calls(monkeypatch, kernel, "gram_matrix")
+    factors = count_calls(monkeypatch, kernel, "cho_factor")
+    ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.3, seed=5))
+    train_labels, test_labels = run_base_alone(
+        ds, ds.features[:n_test], BaseClassifierKind(kind="kernel-ls")
+    )
+    assert (len(grams), len(factors)) == (1, 1)
+    assert train_labels.shape == (40,) and test_labels.shape == (n_test,)

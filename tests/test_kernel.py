@@ -8,6 +8,7 @@ from plcp.kernel import (
     kkt_solve,
     predict,
     resolve_sigma,
+    ridge_system,
     training_output,
 )
 
@@ -155,3 +156,32 @@ class TestPredict:
         solve = kkt_solve(np.eye(3), np.zeros((3, 2)), 0.05)
         with pytest.raises(ValueError, match="columns"):
             predict(solve, np.zeros((2, 4)))
+
+
+class TestRidgeSystem:
+    def test_shared_system_matches_one_off_solves(self):
+        rng = np.random.default_rng(17)
+        k = gram_matrix(rng.normal(size=(12, 3)), KernelSpec())
+        system = ridge_system(k, 0.05)
+        for _ in range(3):
+            c = rng.normal(size=(12, 4))
+            shared, one_off = kkt_solve(system, c), kkt_solve(k, c, 0.05)
+            np.testing.assert_array_equal(shared.dual_coeffs, one_off.dual_coeffs)
+            np.testing.assert_array_equal(shared.bias, one_off.bias)
+
+    def test_gram_left_untouched(self):
+        k = gram_matrix(np.random.default_rng(2).normal(size=(6, 2)), KernelSpec())
+        before = k.copy()
+        ridge_system(k, 0.05)
+        np.testing.assert_array_equal(k, before)
+
+    def test_ridge_given_once(self):
+        system = ridge_system(np.eye(3), 0.05)
+        with pytest.raises(ValueError, match="own ridge"):
+            kkt_solve(system, np.zeros((3, 2)), 0.05)
+        with pytest.raises(ValueError, match="needs its ridge"):
+            kkt_solve(np.eye(3), np.zeros((3, 2)))
+
+    def test_non_finite_gram_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ridge_system(np.full((3, 3), np.nan), 0.05)

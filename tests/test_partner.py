@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from plcp.core import PartialLabelDataset
-from plcp.kernel import KernelSolve, KernelSpec, gram_matrix, kkt_solve, training_output
+from plcp.kernel import (
+    KernelSolve,
+    KernelSpec,
+    gram_matrix,
+    kkt_solve,
+    ridge_system,
+    training_output,
+)
 from plcp.partner import (
     PartnerConfig,
     PartnerModel,
@@ -119,6 +126,13 @@ class TestFitPartner:
         gap_soft = float(np.abs(soft.c + o - 1.0)[dataset.candidates > 0].mean())
         gap_hard = float(np.abs(hard.c + o - 1.0)[dataset.candidates > 0].mean())
         assert gap_hard < gap_soft
+
+    def test_system_ridge_must_match_config(self):
+        rng = np.random.default_rng(1)
+        dataset = random_dataset(rng)
+        system = ridge_system(gram_matrix(dataset.features, KernelSpec()), 0.2)
+        with pytest.raises(ValueError, match="ridge"):
+            fit_partner(dataset, uniform_supervision(dataset), PartnerConfig(), system)
 
     def test_supervision_shape_rejected(self):
         rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcp.core import InvariantViolation
 from plcp.qp import (
     RowQpProblem,
     kkt_residual,
@@ -103,6 +104,18 @@ class TestSolveRow:
                 upper=np.ones(2),
                 sum_target=3.0,
             )
+
+    @pytest.mark.parametrize("sum_target, end", [(3.0, "nu_lo"), (-1.0, "nu_hi")])
+    def test_broken_bracket_raises_typed_error(self, sum_target, end):
+        # a problem that skipped validation: no multiplier reaches its sum
+        problem = object.__new__(RowQpProblem)
+        for name, value in (
+            ("linear", np.zeros(2)), ("lower", np.zeros(2)), ("upper", np.ones(2)),
+            ("sum_target", sum_target),
+        ):
+            object.__setattr__(problem, name, value)
+        with pytest.raises(InvariantViolation, match=end):
+            solve_row_with_multiplier(problem)
 
     @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
     def test_matches_enumeration_oracle(self, l):
