@@ -101,6 +101,7 @@ def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
     base the ridge system of its gram.
     """
     if kind.kind == "pl-knn":
+        # each sample is excluded from its own neighbours, leaving n - 1
         n = dataset.n_samples
         if kind.k_neighbors >= n:
             raise ValueError(
@@ -153,8 +154,12 @@ def query_outputs(
     supervision = np.asarray(supervision, float)
     query_features = np.asarray(query_features, float)
     if kind.kind == "pl-knn":
-        if kind.k_neighbors > dataset.n_samples:
-            raise ValueError("k_neighbors exceeds the training sample count")
+        # no query row is a training sample, so k may reach the sample count
+        n = dataset.n_samples
+        if kind.k_neighbors > n:
+            raise ValueError(
+                f"k_neighbors={kind.k_neighbors} exceeds the training sample count {n}"
+            )
         table = neighbour_table(query_features, dataset.features, kind.k_neighbors)
         return supervision[table].mean(axis=1)
     if system is None:

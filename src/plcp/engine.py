@@ -171,6 +171,8 @@ def run_plcp(
             base_prepared = kernel.ridge_system(gram, base_spec.ridge)
         else:
             base_prepared = base_mod.prepare(base_kind, dataset)
+    # the rounds read only the factors; free the n x n gram before them
+    del gram
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)

@@ -8,11 +8,13 @@ an unpenalized bias, expressed through its stationarity system: with
     bias^T = s C / (s 1)
     A      = B^{-1} (C - 1 bias^T)
 
-and the modeling output is ``K A / (2*ridge) + 1 bias^T``. ``B`` is
-symmetric positive definite for any PSD kernel matrix, so a Cholesky
-factorization is always applicable. ``B`` and ``s`` depend on the gram and
-the ridge only, so a :class:`RidgeSystem` factors them once per (gram,
-ridge) and every solve onto a new target ``C`` reuses that factor.
+and the modeling output is ``K A / (2*ridge) + 1 bias^T``. On the training
+rows ``B A = C - 1 bias^T`` turns that into ``C - A/2`` (the dual-ridge
+identity fitted = target - ridge * dual), so only the factorization reads
+the gram. ``B`` is symmetric positive definite for any PSD kernel matrix,
+so a Cholesky factorization is always applicable. ``B`` and ``s`` depend on
+the gram and the ridge only, so a :class:`RidgeSystem` factors them once
+per (gram, ridge) and every solve onto a new target ``C`` reuses that factor.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ class RidgeSystem:
     """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
 
     Built by :func:`ridge_system`; every :func:`kkt_solve` on it reuses the
-    factor and ``s_row``.
+    factor and ``s_row``. The gram itself is not kept.
     """
 
-    gram: np.ndarray  # (n, n)
     ridge: float
     factor: tuple  # lower Cholesky factor of B, as cho_factor returns it
     s_row: np.ndarray  # (n,) 1^T B^{-1}
@@ -62,15 +63,16 @@ class RidgeSystem:
 
 @dataclass(frozen=True)
 class KernelSolve:
-    """Dual solve result: coefficients, bias, and the inputs prediction reads.
+    """Dual solve result: coefficients, bias, ridge and the training output.
 
-    It keeps the gram but not the factor, which a fitted model never needs.
+    ``fitted`` is the modeling output on the training rows, ``C - A/2``;
+    query rows go through :func:`predict`.
     """
 
     dual_coeffs: np.ndarray  # (n, l)
     bias: np.ndarray  # (l,)
-    gram: np.ndarray  # (n, n)
     ridge: float
+    fitted: np.ndarray  # (n, l)
 
 
 def resolve_sigma(x: np.ndarray, spec: KernelSpec) -> float:
@@ -144,7 +146,7 @@ def ridge_system(k_gram: np.ndarray, ridge: float) -> RidgeSystem:
             "check the kernel matrix for NaN or non-PSD structure"
         ) from exc
     s_row = cho_solve(factor, np.ones(n), check_finite=False)
-    return RidgeSystem(gram=k_gram, ridge=ridge, factor=factor, s_row=s_row)
+    return RidgeSystem(ridge=ridge, factor=factor, s_row=s_row)
 
 
 def kkt_solve(
@@ -162,7 +164,7 @@ def kkt_solve(
     elif ridge is not None:
         raise ValueError("a prebuilt ridge system carries its own ridge")
     target = np.asarray(target, float)
-    n = system.gram.shape[0]
+    n = system.s_row.shape[0]
     if target.shape[0] != n:
         raise ValueError(
             f"target has {target.shape[0]} rows, kernel matrix is {n}x{n}"
@@ -170,7 +172,9 @@ def kkt_solve(
     s_row = system.s_row
     bias = (s_row @ target) / s_row.sum()
     dual = cho_solve(system.factor, target - bias, check_finite=False)
-    return KernelSolve(dual_coeffs=dual, bias=bias, gram=system.gram, ridge=system.ridge)
+    return KernelSolve(
+        dual_coeffs=dual, bias=bias, ridge=system.ridge, fitted=target - 0.5 * dual
+    )
 
 
 def predict(model: KernelSolve, k_cross: np.ndarray) -> np.ndarray:
@@ -185,5 +189,5 @@ def predict(model: KernelSolve, k_cross: np.ndarray) -> np.ndarray:
 
 
 def training_output(model: KernelSolve) -> np.ndarray:
-    """Modeling output on the training rows themselves."""
-    return predict(model, model.gram)
+    """Modeling output on the training rows themselves, ``C - A/2``."""
+    return model.fitted

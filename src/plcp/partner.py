@@ -55,9 +55,9 @@ def _objective(
     solve: kernel.KernelSolve, config: PartnerConfig,
 ) -> float:
     fit_term = float(((j - c) ** 2).sum())
-    # ridge * ||W||^2 in dual form: trace(A^T K A) / (4 * ridge)
-    a = solve.dual_coeffs
-    norm_term = float((a * (solve.gram @ a)).sum()) / (4.0 * solve.ridge)
+    # ridge * ||W||^2 in dual form is trace(A^T K A) / (4 * ridge); since
+    # K A / (2 * ridge) = J - 1 bias^T, that is sum(A * (J - bias)) / 2
+    norm_term = float((solve.dual_coeffs * (j - solve.bias)).sum()) / 2.0
     return fit_term + _coupling(o, c, config) + norm_term
 
 
@@ -89,8 +89,9 @@ def fit_partner(
         raise ValueError("supervision shape must match the candidate matrix")
     yhat = dataset.noncandidates
     if system is None:
-        gram = kernel.gram_matrix(dataset.features, config.kernel)
-        system = kernel.ridge_system(gram, config.kernel.ridge)
+        system = kernel.ridge_system(
+            kernel.gram_matrix(dataset.features, config.kernel), config.kernel.ridge
+        )
     elif system.ridge != config.kernel.ridge:
         raise ValueError("the ridge system's ridge differs from config.kernel.ridge")
 

@@ -57,6 +57,27 @@ def _clip_map(nu, g, lo, hi):
     return np.clip((-g - nu) / 2.0, lo, hi)
 
 
+def _bisect(
+    g: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizers ``c`` and multipliers ``nu`` of ``(n, l)`` row problems.
+
+    The bisection runs vectorized across rows, each with its own multiplier.
+    """
+    # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
+    nu_lo = (-g - 2.0 * hi).min(axis=1)
+    nu_hi = (-g - 2.0 * lo).max(axis=1)
+    for _ in range(MAX_BISECT):
+        if (nu_hi - nu_lo).max() <= NU_TOL:
+            break
+        mid = 0.5 * (nu_lo + nu_hi)
+        too_low = _clip_map(mid[:, None], g, lo, hi).sum(axis=1) >= target
+        nu_lo = np.where(too_low, mid, nu_lo)
+        nu_hi = np.where(too_low, nu_hi, mid)
+    nu = 0.5 * (nu_lo + nu_hi)
+    return _clip_map(nu[:, None], g, lo, hi), nu
+
+
 def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]:
     """Minimizer of one row problem together with its equality multiplier."""
     g, lo, hi = problem.linear, problem.lower, problem.upper
@@ -67,16 +88,8 @@ def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]
         raise InvariantViolation("bracket end nu_lo gives a sum below the target")
     if not _clip_map(nu_hi, g, lo, hi).sum() <= problem.sum_target + 1e-9:
         raise InvariantViolation("bracket end nu_hi gives a sum above the target")
-    for _ in range(MAX_BISECT):
-        if nu_hi - nu_lo <= NU_TOL:
-            break
-        mid = 0.5 * (nu_lo + nu_hi)
-        if _clip_map(mid, g, lo, hi).sum() >= problem.sum_target:
-            nu_lo = mid
-        else:
-            nu_hi = mid
-    nu = 0.5 * (nu_lo + nu_hi)
-    return _clip_map(nu, g, lo, hi), nu
+    c, nu = _bisect(g[None], lo[None], hi[None], problem.sum_target)
+    return c[0], float(nu[0])
 
 
 def solve_row(problem: RowQpProblem) -> np.ndarray:
@@ -117,29 +130,16 @@ def solve_matrix(
     """Solve every row problem of the auxiliary-confidence update at once.
 
     Row ``i`` minimizes ``c^T c + (gamma * o_i - 2 * j_i)^T c`` over the box
-    ``[yhat_i, 1]`` with coordinate sum ``l - 1``. The bisection runs
-    vectorized across rows, each with its own multiplier.
+    ``[yhat_i, 1]`` with coordinate sum ``l - 1``.
     """
     j, o, yhat = np.asarray(j, float), np.asarray(o, float), np.asarray(yhat, float)
     if not j.shape == o.shape == yhat.shape:
         raise ValueError("j, o, yhat must share one shape")
-    n, l = j.shape
+    l = j.shape[1]
     g = gamma * o - 2.0 * j
     lo = yhat
     hi = np.ones_like(g)
     target = float(l - 1)
     if (lo.sum(axis=1) > target + 1e-12).any():
         raise ValueError("infeasible row: non-candidate mass exceeds l - 1")
-
-    nu_lo = (-g - 2.0 * hi).min(axis=1)
-    nu_hi = (-g - 2.0 * lo).max(axis=1)
-    for _ in range(MAX_BISECT):
-        if (nu_hi - nu_lo).max() <= NU_TOL:
-            break
-        mid = 0.5 * (nu_lo + nu_hi)
-        sums = np.clip((-g - mid[:, None]) / 2.0, lo, hi).sum(axis=1)
-        too_low = sums >= target
-        nu_lo = np.where(too_low, mid, nu_lo)
-        nu_hi = np.where(too_low, nu_hi, mid)
-    nu = 0.5 * (nu_lo + nu_hi)
-    return np.clip((-g - nu[:, None]) / 2.0, lo, hi)
+    return _bisect(g, lo, hi, target)[0]

@@ -57,6 +57,12 @@ class TestPlKnn:
         ds = dataset_from([[0.0], [1.0]], [[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="k_neighbors"):
             fit_predict_base(BaseClassifierKind(k_neighbors=2), ds, ds.candidates)
+        # query rows are not training samples: all n of them may be neighbours
+        query = np.array([[0.2], [0.9], [5.0]])
+        out = query_outputs(BaseClassifierKind(k_neighbors=2), ds, ds.candidates, query)
+        np.testing.assert_allclose(out, 0.5)
+        with pytest.raises(ValueError, match="k_neighbors=3 .* count 2"):
+            query_outputs(BaseClassifierKind(k_neighbors=3), ds, ds.candidates, query)
 
 
 def grid_points(rng, rows):

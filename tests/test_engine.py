@@ -1,9 +1,10 @@
+import weakref
 from collections import deque
 
 import numpy as np
 import pytest
 
-from plcp import kernel
+from plcp import kernel, partner
 from plcp.base import BaseClassifierKind
 from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, generate_synthetic, split
@@ -241,3 +242,27 @@ def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test
     )
     assert (len(grams), len(factors)) == (1, 1)
     assert train_labels.shape == (40,) and test_labels.shape == (n_test,)
+
+
+@pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
+def test_no_gram_outlives_the_factorization(monkeypatch, base):
+    # the rounds read only the factors, so every n x n gram is freed first
+    grams = []
+    original_gram = kernel.gram_matrix
+
+    def tracked(*args):
+        gram = original_gram(*args)
+        grams.append(weakref.ref(gram))
+        return gram
+
+    alive = []
+    original_fit = partner.fit_partner
+
+    def fit(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in grams))
+        return original_fit(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "gram_matrix", tracked)
+    monkeypatch.setattr(partner, "fit_partner", fit)
+    blob_run(n=60, base=BaseClassifierKind(kind=base))
+    assert grams and alive and not any(alive)

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from plcp.kernel import (
+    KernelSolve,
     KernelSpec,
+    RidgeSystem,
     cross_matrix,
     gram_matrix,
     kkt_solve,
@@ -11,6 +15,7 @@ from plcp.kernel import (
     ridge_system,
     training_output,
 )
+from plcp.partner import PartnerModel
 
 
 def primal_ridge_oracle(x, c, ridge):
@@ -130,6 +135,16 @@ class TestPredict:
         solve = kkt_solve(k, rng.normal(size=(10, 3)), 0.05)
         np.testing.assert_allclose(predict(solve, k[:4]), training_output(solve)[:4])
 
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    @pytest.mark.parametrize("ridge", [0.05, 1e-3])
+    def test_training_output_matches_gram_prediction(self, kind, ridge):
+        # C - A/2 from the solve's own equation equals K A/(2*ridge) + bias
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(30, 4))
+        k = gram_matrix(x, KernelSpec(kind=kind))
+        solve = kkt_solve(k, rng.random((30, 5)), ridge)
+        np.testing.assert_allclose(training_output(solve), predict(solve, k), atol=1e-9)
+
     def test_zero_dual_coeffs_gives_bias(self):
         solve = kkt_solve(np.array([[1.0]]), np.array([[0.3, 0.9]]), 0.05)
         out = predict(solve, np.array([[0.5]]))
@@ -181,6 +196,11 @@ class TestRidgeSystem:
             kkt_solve(system, np.zeros((3, 2)), 0.05)
         with pytest.raises(ValueError, match="needs its ridge"):
             kkt_solve(np.eye(3), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("result", [RidgeSystem, KernelSolve, PartnerModel])
+    def test_results_keep_no_gram(self, result):
+        # the gram is an input to the factorization only
+        assert "gram" not in {f.name for f in fields(result)}
 
     def test_non_finite_gram_rejected(self):
         with pytest.raises(ValueError, match="NaN"):

@@ -39,11 +39,11 @@ def feasible_complement_start(dataset):
     return (1.0 - y) + y * (sizes - 1.0) / sizes
 
 
-def objective(j, c, o, solve, config):
+def objective(j, c, o, solve, gram, config):
     fit = float(((j - c) ** 2).sum())
     coupling = config.gamma * float((o * c).sum())
     a = solve.dual_coeffs
-    norm = float(np.einsum("ij,ik,kj->", a, solve.gram, a)) / (4.0 * config.kernel.ridge)
+    norm = float(np.einsum("ij,ik,kj->", a, gram, a)) / (4.0 * config.kernel.ridge)
     return fit + coupling + norm
 
 
@@ -55,6 +55,20 @@ class TestFitPartner:
         model = fit_partner(dataset, uniform_supervision(dataset), PartnerConfig())
         trace = model.objective_trace
         assert (np.diff(trace) <= 1e-8).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_trace_matches_einsum_oracle(self, seed):
+        # the traced norm term reads sum(A * (J - bias)) / 2, not K A
+        rng = np.random.default_rng(seed)
+        dataset = random_dataset(rng)
+        o = uniform_supervision(dataset)
+        config = PartnerConfig()
+        model = fit_partner(dataset, o, config)
+        gram = gram_matrix(dataset.features, config.kernel)
+        expected = objective(
+            training_output(model.solve), model.c, o, model.solve, gram, config
+        )
+        assert model.objective_trace[-1] == pytest.approx(expected, rel=1e-10)
 
     def test_gamma_zero_first_solve_matches_plain_ridge(self):
         # with no coupling and zero initial output, the opening C step lands
@@ -102,10 +116,10 @@ class TestFitPartner:
         o = uniform_supervision(dataset)
         config = PartnerConfig(inner_iters=30, inner_tol=0.0)
         model = fit_partner(dataset, o, config)
-        fitted = objective(
-            training_output(model.solve), model.c, o, model.solve, config
-        )
         gram = gram_matrix(dataset.features, config.kernel)
+        fitted = objective(
+            training_output(model.solve), model.c, o, model.solve, gram, config
+        )
         yhat = dataset.noncandidates
         for _ in range(100):
             c_rand = solve_matrix(
@@ -113,7 +127,7 @@ class TestFitPartner:
             )
             solve = kkt_solve(gram, c_rand, config.kernel.ridge)
             candidate_obj = objective(
-                training_output(solve), c_rand, o, solve, config
+                training_output(solve), c_rand, o, solve, gram, config
             )
             assert fitted <= candidate_obj + 1e-8
 
@@ -150,8 +164,9 @@ class TestPrediction:
     def test_modeling_output_delegates_to_kernel(self):
         rng = np.random.default_rng(2)
         dataset = random_dataset(rng, n=10)
-        model = fit_partner(dataset, uniform_supervision(dataset), PartnerConfig())
-        out = partner_modeling_output(model, model.solve.gram)
+        config = PartnerConfig()
+        model = fit_partner(dataset, uniform_supervision(dataset), config)
+        out = partner_modeling_output(model, gram_matrix(dataset.features, config.kernel))
         np.testing.assert_allclose(out, training_output(model.solve))
 
     def test_argmin_of_complement_confidence(self):
