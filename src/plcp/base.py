@@ -4,8 +4,9 @@ Two bases cover the coupling paths the mutual-supervision loop must
 support: neighbor averaging of supervision rows (confidence-friendly
 PL-KNN) and a kernel least-squares regression onto the supervision, which
 shares the partner's dual solver. Neither changes between rounds of a run:
-PL-KNN searches its neighbours once per run, in blocks of rows, and the
-kernel least-squares base reuses one factored ridge system.
+PL-KNN's neighbour table is searched in blocks of rows and the kernel
+least-squares base reuses one factored ridge system; the engine takes
+both from the train set's memo, so each is built once per train set.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ Seeding rule: each run seed expands into per-purpose streams through
 (dataset, split). Appending new consumers never perturbs the existing
 streams.
 
+A sweep runs seed-major: for each seed it runs every grid cell on that
+seed's split, then drops the split, so the sigma, ridge factors and kNN
+tables each train set memoizes (see ``PartialLabelDataset``) are built
+once per seed and only one seed's are alive at a time. ``sweep.csv`` and
+``failures.csv`` still list the rows cell-major, in grid order.
+
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
     correction_ratio, miscorrection_ratio, iterations_run, wall_ms
@@ -367,8 +373,9 @@ def run_seed(exp: ExperimentConfig, seed: int, memo: dict | None = None):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a NumPy scalar carries its type name: np.float64(0.5)
+        return repr(float(value))
     return str(value)
 
 
@@ -381,20 +388,29 @@ def write_csv(path: Path, fields, rows) -> None:
             writer.writerow({k: _fmt(row[k]) for k in fields})
 
 
+INT_COLUMNS = ("seed", "iterations_run", "iteration", "sample", "label")
+TEXT_COLUMNS = ("method", "error")
+
+
 def read_results_csv(path: str | Path) -> list[dict]:
-    """Parse a results CSV back into typed rows (round-trips write_csv)."""
+    """Parse a results CSV back into typed rows (round-trips write_csv).
+
+    Integer columns parse as ``int``, text columns stay strings, and every
+    other non-empty cell must parse as a ``float``.
+    """
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for number, row in enumerate(csv.DictReader(fh), start=1):
             parsed = dict(row)
             for key, value in row.items():
-                if key in ("seed", "iterations_run", "iteration", "sample", "label"):
-                    parsed[key] = int(value)
-                elif key not in ("method",) and value != "":
-                    try:
-                        parsed[key] = float(value)
-                    except ValueError:
-                        pass
+                if key in TEXT_COLUMNS or (value == "" and key not in INT_COLUMNS):
+                    continue
+                try:
+                    parsed[key] = (int if key in INT_COLUMNS else float)(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {number}, column {key!r}: cannot parse {value!r}"
+                    ) from None
             out.append(parsed)
     return out
 
@@ -495,23 +511,32 @@ def run_sweep(config_path: str | Path) -> int:
         )
         return 2
 
-    exp.outputs.mkdir(parents=True, exist_ok=True)
-    rows, failures, memo = [], [], {}
+    cells = []
     for combo in itertools.product(*axes.values()):
         cell_id = dict(zip(axes, combo))
         cell = exp
         for axis, value in cell_id.items():
             cell = _apply_axis(cell, axis, value)
-        for seed in exp.seeds:
+        cells.append((cell_id, cell))
+
+    exp.outputs.mkdir(parents=True, exist_ok=True)
+    # Seed-major, so one seed's splits, and the factors derived from them,
+    # are dropped before the next seed's are built. Rows and failures are
+    # kept per cell, so the files still list the cells in grid order.
+    rows, failures = [[] for _ in cells], [[] for _ in cells]
+    for seed in exp.seeds:
+        memo = {}
+        for (cell_id, cell), cell_rows, cell_failures in zip(cells, rows, failures):
             try:
                 seed_rows, _ = run_seed(cell, seed, memo)
             except Exception as exc:
-                failures.append(
+                cell_failures.append(
                     {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
                 )
                 continue
-            for row in seed_rows:
-                rows.append({**cell_id, **row})
+            cell_rows += [{**cell_id, **row} for row in seed_rows]
+    rows = list(itertools.chain.from_iterable(rows))
+    failures = list(itertools.chain.from_iterable(failures))
 
     write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
     with open(exp.outputs / "resolved_config.ini", "w") as fh:

@@ -9,7 +9,9 @@ only in blurred, row-normalized form (``o``, ``ohat``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -18,6 +20,13 @@ from . import blur
 
 class InvariantViolation(AssertionError):
     """An internal consistency check on a computed state failed."""
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    # a copy, so the caller's own array stays writeable
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -31,17 +40,26 @@ class PartialLabelDataset:
         Every row must contain at least one candidate.
     ground_truth : optional (n,) int array with values in [0, l); when
         present, the truth must sit inside each sample's candidate set.
+
+    The dataset keeps read-only copies of its arrays, so what is derived
+    from them can never go stale. It also memoizes that derived state (see
+    :meth:`derived`): the resolved Gaussian bandwidth, one ridge system per
+    kernel spec and one neighbour table per neighbour count. The memo
+    lives exactly as long as the dataset object, so every run on the same
+    train set shares these, and a new dataset, even with equal contents,
+    builds its own.
     """
 
     features: np.ndarray
     candidates: np.ndarray
     ground_truth: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.candidates)
+        x = _frozen(self.features, float)
+        y = _frozen(self.candidates, float)
         object.__setattr__(self, "features", x)
-        object.__setattr__(self, "candidates", y.astype(float))
+        object.__setattr__(self, "candidates", y)
         if x.ndim != 2 or y.ndim != 2:
             raise ValueError("features and candidates must be 2-D matrices")
         if x.shape[0] != y.shape[0]:
@@ -56,7 +74,7 @@ class PartialLabelDataset:
         if empty.size:
             raise ValueError(f"empty candidate set at row {empty[0]}")
         if self.ground_truth is not None:
-            t = np.asarray(self.ground_truth, dtype=int)
+            t = _frozen(self.ground_truth, int)
             object.__setattr__(self, "ground_truth", t)
             if t.shape != (x.shape[0],):
                 raise ValueError("ground_truth length must match sample count")
@@ -67,6 +85,12 @@ class PartialLabelDataset:
                 raise ValueError(
                     f"ground truth outside candidate set at row {outside[0]}"
                 )
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """What ``build()`` returns, built once per ``key`` for this dataset."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def n_samples(self) -> int:

@@ -6,12 +6,18 @@ blurred supervision, the complement-confidence blend/clamp, and blurring
 back. The loop stops early once the per-sample label assignment settles
 for two consecutive iterations, and always within ``max_iter`` rounds.
 Test predictions come from the partner of the final iteration.
+
+What depends only on the train features (the Gaussian bandwidth, each
+ridge system and the PL-KNN neighbour table) is taken from the train
+set's memo, so the base-alone run and every coupled run on the same
+dataset object build each of them once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -123,10 +129,38 @@ def _snapshot(
     return IterationSnapshot(labels, change_frac, truth_conf, max_false)
 
 
-def _pin_sigma(spec: kernel.KernelSpec, x: np.ndarray) -> kernel.KernelSpec:
+def _pin_sigma(dataset: PartialLabelDataset, spec: kernel.KernelSpec) -> kernel.KernelSpec:
+    """``spec`` with its Gaussian bandwidth, resolved once per dataset."""
     if spec.kind == "gaussian" and spec.sigma is None:
-        return replace(spec, sigma=kernel.resolve_sigma(x, spec))
+        sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(dataset.features, spec))
+        return replace(spec, sigma=sigma)
     return spec
+
+
+def _ridge_systems(
+    dataset: PartialLabelDataset, *specs: kernel.KernelSpec
+) -> list[kernel.RidgeSystem]:
+    """The ridge system of each sigma-pinned spec, built once per dataset and spec.
+
+    Systems built by one call share a gram when their kind and sigma agree,
+    as the gram does not depend on the ridge; no gram outlives the call.
+    """
+    grams: dict = {}
+
+    def build(spec: kernel.KernelSpec) -> kernel.RidgeSystem:
+        key = (spec.kind, spec.sigma)
+        if key not in grams:
+            grams[key] = kernel.gram_matrix(dataset.features, spec)
+        return kernel.ridge_system(grams[key], spec.ridge)
+
+    return [dataset.derived(("ridge", spec), partial(build, spec)) for spec in specs]
+
+
+def _neighbours(dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind) -> np.ndarray:
+    """PL-KNN's fit-path neighbour table, searched once per dataset and k."""
+    return dataset.derived(
+        ("neighbours", kind.k_neighbors), lambda: base_mod.prepare(kind, dataset)
+    )
 
 
 def _as_test_matrix(dataset: PartialLabelDataset, test_features) -> np.ndarray:
@@ -152,27 +186,18 @@ def run_plcp(
     yhat = dataset.noncandidates
     test_features = _as_test_matrix(dataset, test_features)
 
-    partner_spec = _pin_sigma(config.partner.kernel, x)
+    partner_spec = _pin_sigma(dataset, config.partner.kernel)
     partner_cfg = replace(config.partner, kernel=partner_spec)
-    gram = kernel.gram_matrix(x, partner_spec)
-    system = kernel.ridge_system(gram, partner_spec.ridge)
 
-    # built once, shared by every round: the kNN table or the ridge system
+    # shared by every round, and with other runs on this dataset: the
+    # partner's ridge system, and the base's kNN table or ridge system
     base_kind = config.base
     if base_kind.kind == "pl-knn":
-        base_prepared = base_mod.prepare(base_kind, dataset)
+        (system,) = _ridge_systems(dataset, partner_spec)
+        base_prepared = _neighbours(dataset, base_kind)
     else:
-        base_spec = _pin_sigma(base_kind.kernel, x)
-        base_kind = replace(base_kind, kernel=base_spec)
-        if base_spec == partner_spec:
-            base_prepared = system
-        elif (base_spec.kind, base_spec.sigma) == (partner_spec.kind, partner_spec.sigma):
-            # the gram depends on kind and sigma only, not on the ridge
-            base_prepared = kernel.ridge_system(gram, base_spec.ridge)
-        else:
-            base_prepared = base_mod.prepare(base_kind, dataset)
-    # the rounds read only the factors; free the n x n gram before them
-    del gram
+        base_kind = replace(base_kind, kernel=_pin_sigma(dataset, base_kind.kernel))
+        system, base_prepared = _ridge_systems(dataset, partner_spec, base_kind.kernel)
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
@@ -247,12 +272,13 @@ def run_base_alone(
     test_features = _as_test_matrix(dataset, test_features)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
     if kind.kind == "pl-knn":
-        m_train = base_mod.fit_predict_base(kind, dataset, p0)
+        m_train = base_mod.fit_predict_base(kind, dataset, p0, _neighbours(dataset, kind))
         m_test = base_mod.query_outputs(kind, dataset, p0, test_features)
     else:
-        kind = replace(kind, kernel=_pin_sigma(kind.kernel, x))
-        # one gram, one factor and one solve serve the train and the test rows
-        solve = kernel.kkt_solve(base_mod.prepare(kind, dataset), p0)
+        kind = replace(kind, kernel=_pin_sigma(dataset, kind.kernel))
+        # one solve serves the train and the test rows
+        (system,) = _ridge_systems(dataset, kind.kernel)
+        solve = kernel.kkt_solve(system, p0)
         m_train = kernel.training_output(solve)
         m_test = kernel.predict(solve, kernel.cross_matrix(test_features, x, kind.kernel))
     return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

@@ -1,9 +1,12 @@
 import io
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from plcp import cli
+from plcp import base, cli, kernel
+from plcp.base import BaseClassifierKind
 from plcp.cli import (
     _apply_axis,
     _resolved_ini,
@@ -12,7 +15,8 @@ from plcp.cli import (
     parse_experiment_config,
     read_results_csv,
 )
-from plcp.data import load_dataset
+from plcp.data import SyntheticSpec, load_dataset
+from plcp.engine import EngineConfig
 
 GEN_SPEC = """
 [synthetic]
@@ -138,6 +142,35 @@ def write(path, text):
     return str(path)
 
 
+def record_calls(monkeypatch, module, name):
+    """Record the (args, kwargs) of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def fit_path_tables(calls):
+    """The neighbour searches of the train rows among themselves."""
+    return [kwargs for _, kwargs in calls if kwargs.get("exclude_self")]
+
+
+def experiment(tmp_path, base_kind):
+    return cli.ExperimentConfig(
+        engine=EngineConfig(base=BaseClassifierKind(kind=base_kind), max_iter=2),
+        seeds=(1,),
+        train_frac=0.5,
+        outputs=tmp_path,
+        emit_trajectories=False,
+        synthetic=SyntheticSpec(n=60, d=3, l=3, flip_q=0.3),
+    )
+
+
 class TestGenerate:
     def test_round_trip(self, tmp_path):
         spec = write(
@@ -242,6 +275,30 @@ outputs = {out}
         failures = read_results_csv(tmp_path / "out" / "failures.csv")
         assert len(failures) == 2
 
+    def test_trajectories_round_trip_as_floats(self, tmp_path):
+        cfg = write(
+            tmp_path / "run.ini",
+            RUN_CONFIG.format(n=60, max_iter=2, seeds="1", out_dir=tmp_path / "out", emit="true"),
+        )
+        assert main(["run", cfg]) == 0
+        assert "np." not in (tmp_path / "out" / "trajectories.csv").read_text()
+        traj = read_results_csv(tmp_path / "out" / "trajectories.csv")
+        assert traj
+        for row in traj:
+            assert type(row["truth_confidence"]) is float
+            assert type(row["max_false_positive_confidence"]) is float
+
+    def test_numpy_scalars_written_as_plain_floats(self):
+        assert cli._fmt(np.float64(0.25)) == "0.25"
+        assert cli._fmt(np.float32(0.5)) == "0.5"
+        assert cli._fmt(0.1) == "0.1"
+
+    def test_unparsable_numeric_cell_names_column_and_row(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("method,seed,test_accuracy\npl-knn,1,0.5\npl-knn,2,np.float64(0.5)\n")
+        with pytest.raises(ValueError, match=r"row 2, column 'test_accuracy'"):
+            read_results_csv(path)
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "override"
         monkeypatch.setenv("PLCP_OUTPUT_DIR", str(override))
@@ -334,6 +391,97 @@ class TestSweep:
         )
         with pytest.raises(ValueError, match=r"\[sweep\] gama"):
             main(["sweep", cfg])
+
+
+class TestSharedDerivedState:
+    """Each train set's sigma, ridge factors and kNN table are built once."""
+
+    def test_kernel_ls_seed_builds_one_sigma_gram_and_factor(self, tmp_path, monkeypatch):
+        grams = record_calls(monkeypatch, kernel, "gram_matrix")
+        factors = record_calls(monkeypatch, kernel, "cho_factor")
+        pdists = record_calls(monkeypatch, kernel, "pdist")
+        cli.run_seed(experiment(tmp_path, "kernel-ls"), 1)
+        # the bandwidth's pdist takes the default metric, the gram's sqeuclidean
+        sigmas = [args for args, kwargs in pdists if len(args) == 1 and not kwargs]
+        assert (len(grams), len(factors), len(sigmas)) == (1, 1, 1)
+
+    def test_pl_knn_seed_searches_one_fit_path_table(self, tmp_path, monkeypatch):
+        tables = record_calls(monkeypatch, base, "neighbour_table")
+        cli.run_seed(experiment(tmp_path, "pl-knn"), 1)
+        # the base-alone run also searches its test rows' neighbours
+        assert (len(fit_path_tables(tables)), len(tables)) == (1, 2)
+
+    def test_sweep_builds_once_per_seed(self, tmp_path, monkeypatch):
+        grams = record_calls(monkeypatch, kernel, "gram_matrix")
+        factors = record_calls(monkeypatch, kernel, "cho_factor")
+        tables = record_calls(monkeypatch, base, "neighbour_table")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nalpha = 0.3,0.7\ngamma = 0,2\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        assert (len(grams), len(factors), len(fit_path_tables(tables))) == (2, 2, 2)
+
+    def test_lambda_sweep_builds_once_per_seed_and_ridge(self, tmp_path, monkeypatch):
+        grams = record_calls(monkeypatch, kernel, "gram_matrix")
+        systems = record_calls(monkeypatch, kernel, "ridge_system")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[base]\nkind = kernel-ls\n\n[sweep]\nlambda = 0.05,0.2,0.5\nalpha = 0.3,0.7\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        # the base keeps the INI ridge 0.05, which the first lambda shares
+        ridges = Counter(args[1] for args, _ in systems)
+        assert ridges == {0.05: 2, 0.2: 2, 0.5: 2}
+        assert len(grams) == 6
+
+    def test_no_ridge_system_outlives_its_seed(self, tmp_path, monkeypatch):
+        refs, alive_at_build = [], []
+        original = kernel.ridge_system
+
+        def tracked(*args):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            system = original(*args)
+            refs.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(kernel, "ridge_system", tracked)
+        cli.run_seed(experiment(tmp_path, "kernel-ls"), 1)
+        assert refs and all(ref() is None for ref in refs)
+
+        refs.clear()
+        alive_at_build.clear()
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2,3", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nalpha = 0.3,0.7\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        # one system per seed, and none of an earlier seed alive when it is built
+        assert alive_at_build == [0, 0, 0]
+        assert all(ref() is None for ref in refs)
+
+    def test_sweep_files_stay_cell_major(self, tmp_path):
+        # k_neighbors = 40 exceeds the 30 training samples, so those cells fail
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nk_neighbors = 40,5\nalpha = 0.3,0.7\n",
+        )
+        assert main(["sweep", cfg]) == 1
+        rows = read_results_csv(tmp_path / "out" / "sweep.csv")
+        assert [(r["alpha"], r["k_neighbors"], r["seed"], r["method"]) for r in rows] == [
+            (alpha, 5.0, seed, method)
+            for alpha in (0.3, 0.7)
+            for seed in (1, 2)
+            for method in ("pl-knn", "pl-knn-plcp")
+        ]
+        failures = read_results_csv(tmp_path / "out" / "failures.csv")
+        assert [(r["alpha"], r["k_neighbors"], r["seed"]) for r in failures] == [
+            (alpha, 40.0, seed) for alpha in (0.3, 0.7) for seed in (1, 2)
+        ]
 
 
 class TestInspect:

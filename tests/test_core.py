@@ -9,6 +9,7 @@ from plcp.core import (
     update_labeling_confidence,
     update_noncandidate_confidence,
 )
+from plcp.data import SyntheticSpec, generate_synthetic, split
 
 
 def make_dataset(candidates, truth=None):
@@ -38,6 +39,45 @@ class TestDatasetValidation:
     def test_noncandidates_is_complement(self):
         ds = make_dataset([[1, 1, 0], [0, 1, 1]])
         np.testing.assert_array_equal(ds.noncandidates, 1.0 - ds.candidates)
+
+
+class TestDatasetArraysAndMemo:
+    def test_arrays_are_read_only_copies(self):
+        features = np.zeros((2, 2))
+        candidates = np.ones((2, 2))
+        truth = np.array([0, 1])
+        ds = PartialLabelDataset(features, candidates, truth)
+        for name in ("features", "candidates", "ground_truth"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ds, name)[0] = 1
+        # the caller's arrays are not the dataset's and stay writeable
+        features[0, 0] = 5.0
+        candidates[0, 0] = 0.0
+        truth[0] = 1
+        assert ds.features[0, 0] == 0.0 and ds.candidates[0, 0] == 1.0
+        assert ds.ground_truth[0] == 0
+
+    def test_derived_builds_once_per_key(self):
+        ds = make_dataset([[1, 1], [1, 0]])
+        calls = []
+
+        def build():
+            calls.append(1)
+            return object()
+
+        first = ds.derived("a", build)
+        assert ds.derived("a", build) is first
+        assert ds.derived("b", build) is not first
+        assert len(calls) == 2
+
+    def test_split_datasets_never_share_a_memo(self):
+        ds = generate_synthetic(SyntheticSpec(n=20, d=2, l=3, flip_q=0.3, seed=1))
+        train, test = split(ds, 0.5, seed=2)
+        again = PartialLabelDataset(train.features, train.candidates, train.ground_truth)
+        built = [d.derived("key", object) for d in (ds, train, test, again)]
+        assert len({id(value) for value in built}) == 4
+        # the memo takes no part in comparison or repr
+        assert "memo" not in repr(train)
 
 
 class TestInitConfidence:
