@@ -10,15 +10,21 @@ Seeding rule: each run seed expands into per-purpose streams through
 (dataset, split). Appending new consumers never perturbs the existing
 streams.
 
-A sweep runs seed-major: for each seed it runs every grid cell on that
-seed's split, then drops the split, so the sigma, ridge factors and kNN
-tables each train set memoizes (see ``PartialLabelDataset``) are built
-once per seed and only one seed's are alive at a time. ``sweep.csv`` and
+A sweep runs seed-major: for each seed it runs the grid cells of each
+split back to back (only the ``flip_q`` axis gives a seed several splits),
+then drops that split, so the sigma, ridge factors and kNN tables each
+train set memoizes (see ``PartialLabelDataset``) are built once per
+split and only one split's are alive at a time. ``sweep.csv`` and
 ``failures.csv`` still list the rows cell-major, in grid order.
 
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
     correction_ratio, miscorrection_ratio, iterations_run, wall_ms
+
+``wall_ms`` times the row's own call, so it leaves out the derived state
+an earlier call on the same train set already built: a ``-plcp`` row
+whose base-alone run, or an earlier sweep cell, built the ridge factor or
+kNN table it uses reads lower than one that builds them itself.
 """
 
 from __future__ import annotations
@@ -286,6 +292,14 @@ def _split(exp: ExperimentConfig, seed: int):
     return split(dataset, exp.train_frac, split_seed)
 
 
+def _split_key(exp: ExperimentConfig, seed: int) -> tuple:
+    """What the seed's split depends on: equal keys give equal splits."""
+    return (
+        seed, exp.synthetic, exp.features_path, exp.candidates_path, exp.truth_path,
+        exp.train_frac,
+    )
+
+
 def run_seed(exp: ExperimentConfig, seed: int, memo: dict | None = None):
     """One seed's paired base / base-plcp comparison.
 
@@ -294,10 +308,7 @@ def run_seed(exp: ExperimentConfig, seed: int, memo: dict | None = None):
     depends on the other settings. Returns (result rows, trajectory rows).
     """
     memo = {} if memo is None else memo
-    data_key = (
-        seed, exp.synthetic, exp.features_path, exp.candidates_path, exp.truth_path,
-        exp.train_frac,
-    )
+    data_key = _split_key(exp, seed)
     if data_key not in memo:
         memo[data_key] = _split(exp, seed)
     train, test = memo[data_key]
@@ -520,21 +531,27 @@ def run_sweep(config_path: str | Path) -> int:
         cells.append((cell_id, cell))
 
     exp.outputs.mkdir(parents=True, exist_ok=True)
-    # Seed-major, so one seed's splits, and the factors derived from them,
-    # are dropped before the next seed's are built. Rows and failures are
-    # kept per cell, so the files still list the cells in grid order.
+    # Seed-major, and within a seed the cells of one split back to back, so
+    # a split, with the factors its train set derives, is dropped before
+    # the next is built. Rows and failures are kept per cell, so the files
+    # still list the cells in grid order.
     rows, failures = [[] for _ in cells], [[] for _ in cells]
     for seed in exp.seeds:
-        memo = {}
-        for (cell_id, cell), cell_rows, cell_failures in zip(cells, rows, failures):
-            try:
-                seed_rows, _ = run_seed(cell, seed, memo)
-            except Exception as exc:
-                cell_failures.append(
-                    {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
-                )
-                continue
-            cell_rows += [{**cell_id, **row} for row in seed_rows]
+        by_split: dict[tuple, list[int]] = {}
+        for index, (_, cell) in enumerate(cells):
+            by_split.setdefault(_split_key(cell, seed), []).append(index)
+        for indices in by_split.values():
+            memo = {}
+            for index in indices:
+                cell_id, cell = cells[index]
+                try:
+                    seed_rows, _ = run_seed(cell, seed, memo)
+                except Exception as exc:
+                    failures[index].append(
+                        {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+                    )
+                    continue
+                rows[index] += [{**cell_id, **row} for row in seed_rows]
     rows = list(itertools.chain.from_iterable(rows))
     failures = list(itertools.chain.from_iterable(failures))
 

@@ -43,8 +43,8 @@ class PartialLabelDataset:
 
     The dataset keeps read-only copies of its arrays, so what is derived
     from them can never go stale. It also memoizes that derived state (see
-    :meth:`derived`): the resolved Gaussian bandwidth, one ridge system per
-    kernel spec and one neighbour table per neighbour count. The memo
+    :meth:`derived`): the resolved Gaussian bandwidth, the ridge systems
+    of the latest run and one neighbour table per neighbour count. The memo
     lives exactly as long as the dataset object, so every run on the same
     train set shares these, and a new dataset, even with equal contents,
     builds its own.

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -140,20 +139,27 @@ def _pin_sigma(dataset: PartialLabelDataset, spec: kernel.KernelSpec) -> kernel.
 def _ridge_systems(
     dataset: PartialLabelDataset, *specs: kernel.KernelSpec
 ) -> list[kernel.RidgeSystem]:
-    """The ridge system of each sigma-pinned spec, built once per dataset and spec.
+    """The ridge system of each sigma-pinned spec, kept in the dataset's memo.
 
-    Systems built by one call share a gram when their kind and sigma agree,
-    as the gram does not depend on the ridge; no gram outlives the call.
+    A call that needs a spec the memo lacks first drops the systems it does
+    not ask for, so the memo never holds more factors than one run uses; a
+    sweep, whose cells come ridge-outer, still builds each system once per
+    dataset. Systems built by one call share a gram when their kind and
+    sigma agree, as the gram does not depend on the ridge; no gram outlives
+    the call.
     """
-    grams: dict = {}
-
-    def build(spec: kernel.KernelSpec) -> kernel.RidgeSystem:
-        key = (spec.kind, spec.sigma)
-        if key not in grams:
-            grams[key] = kernel.gram_matrix(dataset.features, spec)
-        return kernel.ridge_system(grams[key], spec.ridge)
-
-    return [dataset.derived(("ridge", spec), partial(build, spec)) for spec in specs]
+    systems = dataset.derived("ridge", dict)
+    if any(spec not in systems for spec in specs):
+        for stale in set(systems).difference(specs):
+            del systems[stale]
+        grams: dict = {}
+        for spec in specs:
+            key = (spec.kind, spec.sigma)
+            if spec not in systems:
+                if key not in grams:
+                    grams[key] = kernel.gram_matrix(dataset.features, spec)
+                systems[spec] = kernel.ridge_system(grams[key], spec.ridge)
+    return [systems[spec] for spec in specs]
 
 
 def _neighbours(dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind) -> np.ndarray:

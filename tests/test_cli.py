@@ -160,6 +160,22 @@ def fit_path_tables(calls):
     return [kwargs for _, kwargs in calls if kwargs.get("exclude_self")]
 
 
+def track_ridge_systems(monkeypatch):
+    """Weak references to every ridge system built, and how many were alive
+    when each was built."""
+    refs, alive_at_build = [], []
+    original = kernel.ridge_system
+
+    def tracked(*args):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        system = original(*args)
+        refs.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(kernel, "ridge_system", tracked)
+    return refs, alive_at_build
+
+
 def experiment(tmp_path, base_kind):
     return cli.ExperimentConfig(
         engine=EngineConfig(base=BaseClassifierKind(kind=base_kind), max_iter=2),
@@ -438,16 +454,7 @@ class TestSharedDerivedState:
         assert len(grams) == 6
 
     def test_no_ridge_system_outlives_its_seed(self, tmp_path, monkeypatch):
-        refs, alive_at_build = [], []
-        original = kernel.ridge_system
-
-        def tracked(*args):
-            alive_at_build.append(sum(ref() is not None for ref in refs))
-            system = original(*args)
-            refs.append(weakref.ref(system))
-            return system
-
-        monkeypatch.setattr(kernel, "ridge_system", tracked)
+        refs, alive_at_build = track_ridge_systems(monkeypatch)
         cli.run_seed(experiment(tmp_path, "kernel-ls"), 1)
         assert refs and all(ref() is None for ref in refs)
 
@@ -461,6 +468,22 @@ class TestSharedDerivedState:
         assert main(["sweep", cfg]) == 0
         # one system per seed, and none of an earlier seed alive when it is built
         assert alive_at_build == [0, 0, 0]
+        assert all(ref() is None for ref in refs)
+
+    def test_sweep_holds_no_more_systems_than_one_run(self, tmp_path, monkeypatch):
+        # a run of a kernel-ls base whose ridge differs from the partner's
+        # holds two systems; no sweep cell may keep more alive than that
+        refs, alive_at_build = track_ridge_systems(monkeypatch)
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[base]\nkind = kernel-ls\n\n[sweep]\n"
+            + "lambda = 0.05,0.2,0.5\nalpha = 0.3,0.7\nflip_q = 0.2,0.4\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        # per (seed, split): the shared 0.05 system, then one per other lambda
+        assert len(refs) == 2 * 2 * 3
+        assert max(alive_at_build) == 1
         assert all(ref() is None for ref in refs)
 
     def test_sweep_files_stay_cell_major(self, tmp_path):
