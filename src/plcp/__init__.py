@@ -7,7 +7,7 @@ repeated chances to be rectified.
 """
 
 from .base import BaseClassifierKind, binarize_supervision, fit_predict_base
-from .blur import BlurParams, blur_labeling, blur_noncandidate
+from .blur import blur_labeling, blur_noncandidate
 from .core import (
     ConfidenceState,
     PartialLabelDataset,
@@ -24,7 +24,6 @@ from .qp import RowQpProblem, solve_matrix, solve_row
 
 __all__ = [
     "BaseClassifierKind",
-    "BlurParams",
     "ConfidenceState",
     "EngineConfig",
     "KernelSolve",

@@ -112,7 +112,7 @@ def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
             dataset.features, dataset.features, kind.k_neighbors, exclude_self=True
         )
     gram = kernel.gram_matrix(dataset.features, kind.kernel)
-    return kernel.ridge_system(gram, kind.kernel.ridge)
+    return kernel.factor_in_place(gram, kind.kernel.ridge)
 
 
 def fit_predict_base(
@@ -165,8 +165,8 @@ def query_outputs(
         return supervision[table].mean(axis=1)
     if system is None:
         system = prepare(kind, dataset)
-    cross = kernel.cross_matrix(query_features, dataset.features, kind.kernel)
-    return kernel.predict(kernel.kkt_solve(system, supervision), cross)
+    solve = kernel.kkt_solve(system, supervision)
+    return kernel.predict_query(solve, query_features, dataset.features, kind.kernel)
 
 
 def binarize_supervision(

@@ -10,21 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class BlurParams:
-    """Blur temperature. Contraction is guaranteed only for k < 0."""
-
-    k: float = -1.0
-
-    def __post_init__(self):
-        validate_temperature(self.k)
 
 
 def validate_temperature(k: float) -> None:

@@ -11,10 +11,15 @@ What depends only on the train features (the Gaussian bandwidth, each
 ridge system and the PL-KNN neighbour table) is taken from the train
 set's memo, so the base-alone run and every coupled run on the same
 dataset object build each of them once.
+
+A run keeps one n_train x n_train float64 array per ridge system (the
+factor) and one block of test rows of the test-by-train kernel matrix;
+before any work it checks that these fit in physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -145,20 +150,23 @@ def _ridge_systems(
     not ask for, so the memo never holds more factors than one run uses; a
     sweep, whose cells come ridge-outer, still builds each system once per
     dataset. Systems built by one call share a gram when their kind and
-    sigma agree, as the gram does not depend on the ridge; no gram outlives
-    the call.
+    sigma agree, as the gram does not depend on the ridge. The last system
+    of a gram is factored in the gram's own buffer and the others in copies
+    of it, so the call leaves no n x n array behind but the factors.
     """
     systems = dataset.derived("ridge", dict)
     if any(spec not in systems for spec in specs):
         for stale in set(systems).difference(specs):
             del systems[stale]
-        grams: dict = {}
-        for spec in specs:
-            key = (spec.kind, spec.sigma)
+        groups: dict = {}
+        for spec in dict.fromkeys(specs):
             if spec not in systems:
-                if key not in grams:
-                    grams[key] = kernel.gram_matrix(dataset.features, spec)
-                systems[spec] = kernel.ridge_system(grams[key], spec.ridge)
+                groups.setdefault((spec.kind, spec.sigma), []).append(spec)
+        for *copied, last in groups.values():
+            gram = kernel.gram_matrix(dataset.features, last)
+            for spec in copied:
+                systems[spec] = kernel.ridge_system(gram, spec.ridge)
+            systems[last] = kernel.factor_in_place(gram, last.ridge)
     return [systems[spec] for spec in specs]
 
 
@@ -167,6 +175,32 @@ def _neighbours(dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind)
     return dataset.derived(
         ("neighbours", kind.k_neighbors), lambda: base_mod.prepare(kind, dataset)
     )
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(n_train: int, n_test: int, n_labels: int, n_systems: int) -> None:
+    """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
+
+    The estimate counts what grows with n_train squared: one factor per
+    ridge system and the largest block of test rows of the kernel matrix.
+    It is raised before any sigma, gram or neighbour work starts.
+    """
+    block_rows = max(
+        rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
+    )
+    estimate = 8 * n_train * (n_systems * n_train + block_rows)
+    memory = _physical_memory()
+    if estimate > memory:
+        raise MemoryError(
+            f"{n_train} train and {n_test} test samples with {n_labels} labels need "
+            f"about {estimate / 2**20:.0f} MiB for {n_systems} ridge system(s) of "
+            f"{n_train}x{n_train} and one block of test rows, but physical memory "
+            f"is {memory / 2**20:.0f} MiB"
+        )
 
 
 def _as_test_matrix(dataset: PartialLabelDataset, test_features) -> np.ndarray:
@@ -191,6 +225,10 @@ def run_plcp(
     y = dataset.candidates
     yhat = dataset.noncandidates
     test_features = _as_test_matrix(dataset, test_features)
+    kernel_specs = {config.partner.kernel}
+    if config.base.kind == "kernel-ls":
+        kernel_specs.add(config.base.kernel)
+    _check_memory(len(x), len(test_features), dataset.label_count, len(kernel_specs))
 
     partner_spec = _pin_sigma(dataset, config.partner.kernel)
     partner_cfg = replace(config.partner, kernel=partner_spec)
@@ -250,8 +288,13 @@ def run_plcp(
         )
         test_predictions = np.argmax(m_test, axis=1)
     else:
-        k_cross = kernel.cross_matrix(test_features, x, partner_spec)
-        test_predictions = partner.predict_labels(partner_model, k_cross)
+        blocks = kernel.query_blocks(len(test_features), len(x), dataset.label_count)
+        test_predictions = np.concatenate([
+            partner.predict_labels(
+                partner_model, kernel.cross_matrix(test_features[rows], x, partner_spec)
+            )
+            for rows in blocks
+        ])
 
     return RunReport(
         iterations_run=len(snapshots),
@@ -276,6 +319,8 @@ def run_base_alone(
     """
     x = dataset.features
     test_features = _as_test_matrix(dataset, test_features)
+    n_systems = 1 if kind.kind == "kernel-ls" else 0
+    _check_memory(len(x), len(test_features), dataset.label_count, n_systems)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
     if kind.kind == "pl-knn":
         m_train = base_mod.fit_predict_base(kind, dataset, p0, _neighbours(dataset, kind))
@@ -286,5 +331,5 @@ def run_base_alone(
         (system,) = _ridge_systems(dataset, kind.kernel)
         solve = kernel.kkt_solve(system, p0)
         m_train = kernel.training_output(solve)
-        m_test = kernel.predict(solve, kernel.cross_matrix(test_features, x, kind.kernel))
+        m_test = kernel.predict_query(solve, test_features, x, kind.kernel)
     return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

@@ -15,15 +15,21 @@ the gram. ``B`` is symmetric positive definite for any PSD kernel matrix,
 so a Cholesky factorization is always applicable. ``B`` and ``s`` depend on
 the gram and the ridge only, so a :class:`RidgeSystem` factors them once
 per (gram, ridge) and every solve onto a new target ``C`` reuses that factor.
+
+The gram is the one n x n array a run needs: :func:`gram_matrix` builds it
+in a single Fortran-order buffer, and :func:`factor_in_place` turns that
+buffer into ``B`` and then into its Cholesky factor without a copy. Query
+rows are predicted one block at a time (:func:`predict_query`), so no
+query-by-train kernel matrix is alive beside the factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,9 @@ class KernelSpec:
 class RidgeSystem:
     """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
 
-    Built by :func:`ridge_system`; every :func:`kkt_solve` on it reuses the
-    factor and ``s_row``. The gram itself is not kept.
+    Built by :func:`factor_in_place`, whose factor lives in the gram's own
+    buffer, or by :func:`ridge_system` from a copy of the gram. Every
+    :func:`kkt_solve` on it reuses the factor and ``s_row``.
     """
 
     ridge: float
@@ -100,14 +107,21 @@ def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Train-by-train kernel matrix."""
+    """Train-by-train kernel matrix, in Fortran order.
+
+    The matrix is built in one buffer, with no second n x n temporary, and
+    that buffer is the one :func:`factor_in_place` overwrites with the
+    factor. It is symmetric, so writing its C-order transpose fills it.
+    """
     x = np.asarray(x, float)
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or Inf")
     if spec.kind == "linear":
-        return x @ x.T
+        return (x @ x.T).T
     sigma = resolve_sigma(x, spec)
-    return _gaussian(squareform(pdist(x, "sqeuclidean")), sigma)
+    gram = np.empty((x.shape[0], x.shape[0]), order="F")
+    cdist(x, x, "sqeuclidean", out=gram.T)
+    return _gaussian(gram, sigma)
 
 
 def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -122,28 +136,40 @@ def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> 
 def ridge_system(k_gram: np.ndarray, ridge: float) -> RidgeSystem:
     """Factor ``B = K/(2*ridge) + I/2`` once for every solve on this gram.
 
-    Raises a descriptive error when the (theoretically SPD) system turns
-    out numerically singular, which indicates a broken kernel matrix.
+    The factor is built in a copy, so ``k_gram`` is left as it is; a caller
+    that owns a gram it no longer needs hands it to :func:`factor_in_place`.
     """
     k_gram = np.asarray(k_gram, float)
-    n = k_gram.shape[0]
-    if k_gram.shape != (n, n):
-        raise ValueError("kernel matrix must be square")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
     if not np.isfinite(k_gram).all():
         raise ValueError("kernel matrix contains NaN or Inf")
+    return factor_in_place(np.array(k_gram, order="F"), ridge)
 
-    # Fortran order lets the factorization overwrite B instead of copying it
-    b_sys = np.divide(k_gram, 2.0 * ridge, order="F")
-    b_sys[np.diag_indices(n)] += 0.5
+
+def factor_in_place(gram: np.ndarray, ridge: float) -> RidgeSystem:
+    """:func:`ridge_system` of ``gram``, factored in ``gram``'s own buffer.
+
+    ``gram`` must be a writeable Fortran-order float64 array, as
+    :func:`gram_matrix` returns it; it becomes ``B`` and then the factor,
+    so the caller must not read it afterwards. Raises a ``RuntimeError``
+    that names the failing leading minor when the (theoretically SPD)
+    system turns out not positive definite, which indicates a broken
+    kernel matrix.
+    """
+    n = gram.shape[0]
+    if gram.shape != (n, n) or gram.dtype != np.float64:
+        raise ValueError("kernel matrix must be a square float64 array")
+    if not (gram.flags.f_contiguous and gram.flags.writeable):
+        raise ValueError("kernel matrix must be a writeable Fortran-order buffer")
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
+    gram /= 2.0 * ridge
+    gram[np.diag_indices(n)] += 0.5
     try:
-        factor = cho_factor(b_sys, lower=True, overwrite_a=True, check_finite=False)
+        factor = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
-        cond = np.linalg.cond(k_gram / (2.0 * ridge) + 0.5 * np.eye(n))
         raise RuntimeError(
-            f"singular ridge system (condition number {cond:.3e}); "
-            "check the kernel matrix for NaN or non-PSD structure"
+            f"singular {n}x{n} ridge system at ridge {ridge}: {exc}; "
+            "check the kernel matrix for non-PSD structure"
         ) from exc
     s_row = cho_solve(factor, np.ones(n), check_finite=False)
     return RidgeSystem(ridge=ridge, factor=factor, s_row=s_row)
@@ -186,6 +212,45 @@ def predict(model: KernelSolve, k_cross: np.ndarray) -> np.ndarray:
             f"{model.dual_coeffs.shape[0]} (one per training sample)"
         )
     return k_cross @ model.dual_coeffs / (2.0 * model.ridge) + model.bias
+
+
+# Multiply-adds below which OpenBLAS may switch to a small-matrix kernel
+# whose sums differ in the last bits from those of its blocked kernel.
+_MIN_BLOCK_PRODUCT = 1 << 21
+
+
+def query_blocks(n_query: int, n_train: int, n_outputs: int) -> list[slice]:
+    """Even blocks of query rows for the product of a cross matrix and
+    ``n_outputs`` dual columns, each large enough to keep its bits.
+
+    Every block of two or more holds at least ``_MIN_BLOCK_PRODUCT``
+    multiply-adds, so it goes through the same BLAS kernel as the whole
+    product and gives bit-identical rows. A single output column is a
+    matrix-vector product, whose sums depend on the row count, so it stays
+    in one block.
+    """
+    count = 1
+    if n_outputs >= 2 and n_train > 0:
+        rows = -(-_MIN_BLOCK_PRODUCT // (n_train * n_outputs))
+        count = max(1, n_query // rows)
+    size, extra = divmod(n_query, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def predict_query(
+    model: KernelSolve, x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec
+) -> np.ndarray:
+    """``predict(model, cross_matrix(x_query, x_train, spec))``, bit for bit,
+    with only one block of query rows of the cross matrix alive at a time."""
+    x_query, x_train = np.asarray(x_query, float), np.asarray(x_train, float)
+    if spec.kind == "gaussian" and spec.sigma is None:
+        spec = replace(spec, sigma=resolve_sigma(x_train, spec))
+    n_outputs = model.dual_coeffs.shape[1]
+    out = np.empty((x_query.shape[0], n_outputs))
+    for rows in query_blocks(x_query.shape[0], x_train.shape[0], n_outputs):
+        out[rows] = predict(model, cross_matrix(x_query[rows], x_train, spec))
+    return out
 
 
 def training_output(model: KernelSolve) -> np.ndarray:

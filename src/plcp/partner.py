@@ -89,7 +89,7 @@ def fit_partner(
         raise ValueError("supervision shape must match the candidate matrix")
     yhat = dataset.noncandidates
     if system is None:
-        system = kernel.ridge_system(
+        system = kernel.factor_in_place(
             kernel.gram_matrix(dataset.features, config.kernel), config.kernel.ridge
         )
     elif system.ridge != config.kernel.ridge:

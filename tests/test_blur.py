@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcp.blur import BlurParams, blur_labeling, blur_noncandidate, validate_temperature
+from plcp.blur import blur_labeling, blur_noncandidate, validate_temperature
 
 # frozen from a high-precision scalar evaluation of exp(exp(k) * p) with
 # k = -1 followed by row normalization
@@ -65,14 +66,16 @@ class TestBlurNoncandidate:
 class TestTemperatureValidation:
     def test_above_ln2_rejected(self):
         with pytest.raises(ValueError, match="ln 2"):
-            BlurParams(k=0.8)
+            validate_temperature(0.8)
 
     def test_nonnegative_warns(self):
         with pytest.warns(UserWarning, match="contraction"):
             validate_temperature(0.5)
 
     def test_negative_silent(self):
-        BlurParams(k=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_temperature(-1.0)
 
 
 def two_entry_blur_gap(a: float, b: float, k: float) -> float:

@@ -162,9 +162,10 @@ def fit_path_tables(calls):
 
 def track_ridge_systems(monkeypatch):
     """Weak references to every ridge system built, and how many were alive
-    when each was built."""
+    when each was built. Every system, copied or not, is factored by
+    ``kernel.factor_in_place``."""
     refs, alive_at_build = [], []
-    original = kernel.ridge_system
+    original = kernel.factor_in_place
 
     def tracked(*args):
         alive_at_build.append(sum(ref() is not None for ref in refs))
@@ -172,7 +173,7 @@ def track_ridge_systems(monkeypatch):
         refs.append(weakref.ref(system))
         return system
 
-    monkeypatch.setattr(kernel, "ridge_system", tracked)
+    monkeypatch.setattr(kernel, "factor_in_place", tracked)
     return refs, alive_at_build
 
 
@@ -441,7 +442,7 @@ class TestSharedDerivedState:
 
     def test_lambda_sweep_builds_once_per_seed_and_ridge(self, tmp_path, monkeypatch):
         grams = record_calls(monkeypatch, kernel, "gram_matrix")
-        systems = record_calls(monkeypatch, kernel, "ridge_system")
+        systems = record_calls(monkeypatch, kernel, "factor_in_place")
         cfg = write(
             tmp_path / "sweep.ini",
             RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")

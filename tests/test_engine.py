@@ -1,10 +1,10 @@
-import weakref
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
-from plcp import kernel, partner
+from plcp import engine, kernel, partner
 from plcp.base import BaseClassifierKind
 from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, generate_synthetic, split
@@ -245,24 +245,58 @@ def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test
 
 
 @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
-def test_no_gram_outlives_the_factorization(monkeypatch, base):
-    # the rounds read only the factors, so every n x n gram is freed first
-    grams = []
-    original_gram = kernel.gram_matrix
+def test_one_n_by_n_array_per_run(base):
+    # the gram's buffer becomes the factor, and the test rows meet the
+    # train rows one block at a time: a gram beside its factor, or the
+    # whole test-by-train matrix beside it, would each reach 2x
+    ds = generate_synthetic(SyntheticSpec(n=4000, d=8, l=5, flip_q=0.5, seed=3))
+    train, test = split(ds, 0.5, seed=4)
+    config = EngineConfig(base=BaseClassifierKind(kind=base), max_iter=2)
+    tracemalloc.start()
+    try:
+        run_plcp(train, test.features, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * train.n_samples**2 * 8
 
-    def tracked(*args):
-        gram = original_gram(*args)
-        grams.append(weakref.ref(gram))
-        return gram
 
-    alive = []
-    original_fit = partner.fit_partner
+def test_blocked_test_prediction_equals_one_cross_matrix():
+    # l=30 at 600 train rows splits the 600 test rows into several blocks
+    ds = generate_synthetic(SyntheticSpec(n=1200, d=4, l=30, flip_q=0.3, seed=9))
+    train, test = split(ds, 0.5, seed=10)
+    assert len(kernel.query_blocks(test.n_samples, train.n_samples, 30)) > 1
+    report = run_plcp(train, test.features, EngineConfig(max_iter=1))
+    spec = KernelSpec(sigma=kernel.resolve_sigma(train.features, KernelSpec()))
+    k_cross = kernel.cross_matrix(test.features, train.features, spec)
+    np.testing.assert_array_equal(
+        report.test_predictions, partner.predict_labels(report.final_partner, k_cross)
+    )
 
-    def fit(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in grams))
-        return original_fit(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "gram_matrix", tracked)
-    monkeypatch.setattr(partner, "fit_partner", fit)
-    blob_run(n=60, base=BaseClassifierKind(kind=base))
-    assert grams and alive and not any(alive)
+class TestMemoryCheck:
+    @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
+    def test_run_too_large_for_memory_fails_before_any_work(self, monkeypatch, base):
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
+        grams = count_calls(monkeypatch, kernel, "gram_matrix")
+        sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
+        ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
+        kind = BaseClassifierKind(kind=base)
+        with pytest.raises(MemoryError, match=r"800 train and 7 test samples.*1 MiB"):
+            run_plcp(ds, ds.features[:7], EngineConfig(base=kind))
+        if base == "kernel-ls":
+            with pytest.raises(MemoryError, match="800x800"):
+                run_base_alone(ds, ds.features[:7], kind)
+        assert grams == [] and sigmas == []
+
+    def test_estimate_counts_one_factor_per_ridge_system(self, monkeypatch):
+        # 800^2 * 8 bytes is 4.9 MiB: one factor fits in 8 MiB, two do not
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 8 << 20)
+        ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
+        kind = BaseClassifierKind(kind="kernel-ls")
+        run_plcp(ds, ds.features[:7], EngineConfig(base=kind, max_iter=1))
+        lambda_cell = EngineConfig(
+            base=kind, partner=PartnerConfig(kernel=KernelSpec(ridge=0.2)), max_iter=1
+        )
+        with pytest.raises(MemoryError, match="2 ridge system"):
+            run_plcp(ds, ds.features[:7], lambda_cell)

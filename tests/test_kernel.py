@@ -2,15 +2,21 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.spatial.distance import pdist, squareform
 
+from plcp import kernel
 from plcp.kernel import (
     KernelSolve,
     KernelSpec,
     RidgeSystem,
     cross_matrix,
+    factor_in_place,
     gram_matrix,
     kkt_solve,
     predict,
+    predict_query,
+    query_blocks,
     resolve_sigma,
     ridge_system,
     training_output,
@@ -70,6 +76,22 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="identical"):
             gram_matrix(x, KernelSpec(kind="gaussian"))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 301, 1000])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_bit_equal_to_condensed_oracle(self, n, kind):
+        # the single-buffer build keeps the bits of the condensed-distance
+        # build it replaced, and is laid out for factoring in place
+        x = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
+        spec = KernelSpec(kind=kind, sigma=None if n > 1 else 1.0)
+        if kind == "linear":
+            oracle = x @ x.T
+        else:
+            sigma = resolve_sigma(x, spec)
+            oracle = np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * sigma**2))
+        gram = gram_matrix(x, spec)
+        np.testing.assert_array_equal(gram, oracle)
+        assert gram.flags.f_contiguous and gram.flags.writeable
+
 
 class TestKktSolve:
     def test_zero_target_gives_zero_model(self):
@@ -126,6 +148,13 @@ class TestKktSolve:
         with pytest.raises((RuntimeError, ValueError)):
             kkt_solve(bad, np.zeros((3, 2)), 0.05)
 
+    def test_non_psd_gram_names_the_failing_minor(self):
+        # finite, but B = K/(2*ridge) + I/2 has a negative second pivot
+        bad = np.array([[1.0, 0.0, 0.0], [0.0, -5.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(RuntimeError, match="2-th leading minor") as info:
+            kkt_solve(bad, np.zeros((3, 2)), 0.05)
+        assert isinstance(info.value.__cause__, LinAlgError)
+
 
 class TestPredict:
     def test_training_rows_consistent(self):
@@ -173,6 +202,60 @@ class TestPredict:
             predict(solve, np.zeros((2, 4)))
 
 
+def min_block_rows(n_train, l):
+    return -(-kernel._MIN_BLOCK_PRODUCT // (n_train * l))
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize(
+        "n_train, n_test, l",
+        [
+            (2000, 2003, 5),
+            (300, 300, 30),
+            # one block plus one row stays one block; two blocks plus one
+            # row give the smallest blocks there are
+            (2000, min_block_rows(2000, 5) + 1, 5),
+            (2000, 2 * min_block_rows(2000, 5) + 1, 5),
+            (2000, 2 * min_block_rows(2000, 2) + 1, 2),
+            (600, 2003, 30),
+            (2000, 700, 1),
+        ],
+    )
+    def test_blocked_prediction_bit_equal_to_one_product(self, n_train, n_test, l):
+        rng = np.random.default_rng(n_train + n_test + l)
+        x, x_test = rng.normal(size=(n_train, 8)), rng.normal(size=(n_test, 8))
+        solve = KernelSolve(
+            dual_coeffs=50.0 * rng.normal(size=(n_train, l)),
+            bias=rng.random(l),
+            ridge=0.05,
+            fitted=np.zeros((n_train, l)),
+        )
+        spec = KernelSpec(sigma=float(pdist(x[:200]).mean()))
+        got = predict_query(solve, x_test, x, spec)
+        np.testing.assert_array_equal(got, predict(solve, cross_matrix(x_test, x, spec)))
+
+    def test_unpinned_sigma_resolved_from_the_train_rows(self):
+        rng = np.random.default_rng(5)
+        x, x_test = rng.normal(size=(40, 3)), rng.normal(size=(9, 3))
+        solve = kkt_solve(gram_matrix(x, KernelSpec()), rng.random((40, 3)), 0.05)
+        np.testing.assert_array_equal(
+            predict_query(solve, x_test, x, KernelSpec()),
+            predict(solve, cross_matrix(x_test, x, KernelSpec())),
+        )
+
+    @pytest.mark.parametrize("n_query", [0, 1, 209, 210, 419, 420, 421, 2003, 10**5])
+    @pytest.mark.parametrize("n_train, l", [(2000, 5), (60, 3), (2000, 1)])
+    def test_blocks_tile_the_rows_and_stay_large(self, n_query, n_train, l):
+        blocks = query_blocks(n_query, n_train, l)
+        assert blocks[0].start == 0 and blocks[-1].stop == n_query
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        if len(blocks) > 1:
+            assert min(sizes) * n_train * l >= kernel._MIN_BLOCK_PRODUCT
+            assert l >= 2
+
+
 class TestRidgeSystem:
     def test_shared_system_matches_one_off_solves(self):
         rng = np.random.default_rng(17)
@@ -205,3 +288,22 @@ class TestRidgeSystem:
     def test_non_finite_gram_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             ridge_system(np.full((3, 3), np.nan), 0.05)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_factor_in_place_matches_the_copying_build(self, kind):
+        x = np.random.default_rng(8).normal(size=(50, 3))
+        gram = gram_matrix(x, KernelSpec(kind=kind))
+        copied = ridge_system(gram, 0.05)
+        in_place = factor_in_place(gram, 0.05)
+        # the gram's buffer became the factor
+        assert np.shares_memory(in_place.factor[0], gram)
+        np.testing.assert_array_equal(in_place.factor[0], copied.factor[0])
+        np.testing.assert_array_equal(in_place.s_row, copied.s_row)
+
+    def test_factor_in_place_needs_a_fortran_buffer(self):
+        with pytest.raises(ValueError, match="Fortran"):
+            factor_in_place(np.eye(3), 0.05)
+        frozen = np.asfortranarray(np.eye(3))
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="Fortran"):
+            factor_in_place(frozen, 0.05)
