@@ -18,9 +18,9 @@ from .core import (
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split
 from .engine import EngineConfig, RunReport, run_base_alone, run_plcp, should_stop
 from .kernel import KernelSolve, KernelSpec, gram_matrix, kkt_solve, predict
-from .metrics import MetricReport, accuracy, correction_metrics, tolerance_accuracy
+from .metrics import accuracy, correction_metrics
 from .partner import PartnerConfig, PartnerModel, fit_partner, predict_labels
-from .qp import RowQpProblem, solve_matrix, solve_row
+from .qp import RowQpProblem, solve_matrix
 
 __all__ = [
     "BaseClassifierKind",
@@ -28,7 +28,6 @@ __all__ = [
     "EngineConfig",
     "KernelSolve",
     "KernelSpec",
-    "MetricReport",
     "PartialLabelDataset",
     "PartnerConfig",
     "PartnerModel",
@@ -54,9 +53,7 @@ __all__ = [
     "save_dataset",
     "should_stop",
     "solve_matrix",
-    "solve_row",
     "split",
-    "tolerance_accuracy",
     "update_labeling_confidence",
     "update_noncandidate_confidence",
 ]

@@ -10,12 +10,12 @@ Seeding rule: each run seed expands into per-purpose streams through
 (dataset, split). Appending new consumers never perturbs the existing
 streams.
 
-A sweep runs seed-major: for each seed it runs the grid cells of each
-split back to back (only the ``flip_q`` axis gives a seed several splits),
-then drops that split, so the sigma, ridge factors and kNN tables each
-train set memoizes (see ``PartialLabelDataset``) are built once per
-split and only one split's are alive at a time. ``sweep.csv`` and
-``failures.csv`` still list the rows cell-major, in grid order.
+A sweep runs seed-major: for each seed it builds each split once (only
+the ``flip_q`` axis gives a seed several splits) and runs its grid cells
+back to back. A train set keeps the sigma, ridge factors, kNN tables and
+base-alone run derived from it (see ``PartialLabelDataset.derived``), so
+each is built once per split, and one split's at a time are alive.
+``sweep.csv`` and ``failures.csv`` list the rows cell-major, in grid order.
 
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
@@ -24,7 +24,8 @@ Results CSV schema (one row per seed per method):
 ``wall_ms`` times the row's own call, so it leaves out the derived state
 an earlier call on the same train set already built: a ``-plcp`` row
 whose base-alone run, or an earlier sweep cell, built the ridge factor or
-kNN table it uses reads lower than one that builds them itself.
+kNN table it uses reads lower than one that builds them itself. Cells of
+one split and base config repeat the base row of their one base-alone run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split
 from .engine import EngineConfig, run_base_alone, run_plcp
-from .metrics import MetricReport, accuracy, correction_metrics
+from .metrics import accuracy, correction_metrics
 
 RESULT_FIELDS = (
     "method",
@@ -300,86 +301,52 @@ def _split_key(exp: ExperimentConfig, seed: int) -> tuple:
     )
 
 
-def run_seed(exp: ExperimentConfig, seed: int, memo: dict | None = None):
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, 1000.0 * (time.perf_counter() - t0)
+
+
+def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None):
     """One seed's paired base / base-plcp comparison.
 
-    ``memo`` keeps each seed's split, and its base-alone run per base
-    config, for later calls on the same dataset and ``train_frac``; neither
-    depends on the other settings. Returns (result rows, trajectory rows).
+    ``data`` is the seed's (train, test) split, built here when absent. The
+    base-alone run depends on nothing but the split and the base config, so
+    it is kept on the train set (see ``PartialLabelDataset.derived``) for
+    later calls with that split. Returns (result rows, trajectory rows).
     """
-    memo = {} if memo is None else memo
-    data_key = _split_key(exp, seed)
-    if data_key not in memo:
-        memo[data_key] = _split(exp, seed)
-    train, test = memo[data_key]
-    base_key = data_key + (exp.engine.base,)
-    if base_key not in memo:
-        t0 = time.perf_counter()
-        base_train, base_test = run_base_alone(train, test.features, exp.engine.base)
-        memo[base_key] = base_train, base_test, 1000.0 * (time.perf_counter() - t0)
-    base_train, base_test, base_ms = memo[base_key]
-    base_name = exp.engine.base.kind
+    train, test = _split(exp, seed) if data is None else data
+    base = exp.engine.base
+    (base_train, base_test), base_ms = train.derived(
+        ("base-alone", base), lambda: _timed(run_base_alone, train, test.features, base)
+    )
+    report, plcp_ms = _timed(run_plcp, train, test.features, exp.engine)
 
-    t0 = time.perf_counter()
-    report = run_plcp(train, test.features, exp.engine)
-    plcp_ms = 1000.0 * (time.perf_counter() - t0)
-
-    if train.ground_truth is not None:
-        base_metrics = MetricReport(
-            test_accuracy=accuracy(base_test, test.ground_truth),
-            transductive_accuracy=accuracy(base_train, train.ground_truth),
-            correction_ratio=0.0,
-            miscorrection_ratio=0.0,
-        )
-        corr, miscorr = correction_metrics(
-            base_train, report.train_predictions, train.ground_truth
-        )
-        plcp_metrics = MetricReport(
-            test_accuracy=accuracy(report.test_predictions, test.ground_truth),
-            transductive_accuracy=accuracy(report.train_predictions, train.ground_truth),
-            correction_ratio=corr,
-            miscorrection_ratio=miscorr,
-        )
-    else:
-        nan = float("nan")
-        base_metrics = plcp_metrics = MetricReport(nan, nan, nan, nan)
-
-    def as_row(method, metrics, iterations, wall_ms):
-        return {
-            "method": method,
-            "seed": seed,
-            **asdict(metrics),
-            "iterations_run": iterations,
-            "wall_ms": wall_ms,
-        }
+    def row(method, train_labels, test_labels, iterations, wall_ms):
+        metrics = [float("nan")] * 4
+        if train.ground_truth is not None:
+            metrics = [
+                accuracy(test_labels, test.ground_truth),
+                accuracy(train_labels, train.ground_truth),
+                *correction_metrics(base_train, train_labels, train.ground_truth),
+            ]
+        return dict(zip(RESULT_FIELDS, (method, seed, *metrics, iterations, wall_ms)))
 
     rows = [
-        as_row(base_name, base_metrics, 1, base_ms),
-        as_row(f"{base_name}-plcp", plcp_metrics, report.iterations_run, plcp_ms),
+        row(base.kind, base_train, base_test, 1, base_ms),
+        row(f"{base.kind}-plcp", report.train_predictions, report.test_predictions,
+            report.iterations_run, plcp_ms),
     ]
-
-    trajectory_rows = []
-    if exp.emit_trajectories:
-        for it, snap in enumerate(report.trajectories, start=1):
-            for i in range(train.n_samples):
-                trajectory_rows.append(
-                    {
-                        "seed": seed,
-                        "iteration": it,
-                        "sample": i,
-                        "label": int(snap.labels[i]),
-                        "truth_confidence": (
-                            snap.truth_confidence[i]
-                            if snap.truth_confidence is not None
-                            else ""
-                        ),
-                        "max_false_positive_confidence": (
-                            snap.max_false_confidence[i]
-                            if snap.max_false_confidence is not None
-                            else ""
-                        ),
-                    }
-                )
+    blank = [""] * train.n_samples
+    trajectory_rows = [
+        dict(zip(TRAJECTORY_FIELDS, (seed, it, i, int(label), truth, rival)))
+        for it, snap in enumerate(report.trajectories if exp.emit_trajectories else [], 1)
+        for i, (label, truth, rival) in enumerate(zip(
+            snap.labels,
+            blank if snap.truth_confidence is None else snap.truth_confidence,
+            blank if snap.max_false_confidence is None else snap.max_false_confidence,
+        ))
+    ]
     return rows, trajectory_rows
 
 
@@ -495,7 +462,25 @@ def _apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     if axis == "flip_q" and exp.synthetic is None:
         raise ValueError("flip_q axis requires a synthetic dataset source")
     path = SWEEP_AXES[axis]
-    return _with(exp, {path: type(_get_path(exp, path))(value)})
+    field_type = type(_get_path(exp, path))
+    try:
+        if field_type is int and not float(value).is_integer():
+            raise ValueError("not an integer")
+        return _with(exp, {path: field_type(value)})
+    except ValueError as exc:
+        raise ValueError(f"[sweep] {axis} = {value}: {exc}") from exc
+
+
+def _axis_values(raw: str) -> list[float]:
+    values = [float(v) for v in raw.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{raw!r} lists no values")
+    return values
+
+
+SWEEP_KEYS = (IniKey("sweep", "max_cells", ("max_cells",), int),) + tuple(
+    IniKey("sweep", axis, (axis,), _axis_values) for axis in SWEEP_AXES
+)
 
 
 def run_sweep(config_path: str | Path) -> int:
@@ -503,15 +488,8 @@ def run_sweep(config_path: str | Path) -> int:
     exp = parse_experiment_config(config_path)
     if not cfg.has_section("sweep"):
         raise ValueError("sweep command requires a [sweep] section")
-    for name in cfg.options("sweep"):
-        if name not in SWEEP_AXES and name != "max_cells":
-            raise ValueError(f"[sweep] {name}: unknown key")
-    max_cells = cfg.getint("sweep", "max_cells", fallback=1000)
-    axes = {
-        axis: [float(v) for v in cfg.get("sweep", axis).split(",") if v.strip()]
-        for axis in SWEEP_AXES
-        if cfg.has_option("sweep", axis)
-    }
+    axes = _read_keys(cfg, SWEEP_KEYS)
+    max_cells = axes.pop("max_cells", 1000)
     # with no axes the grid is the single cell of the configured values
     n_cells = math.prod(len(values) for values in axes.values())
     if n_cells > max_cells:
@@ -541,11 +519,13 @@ def run_sweep(config_path: str | Path) -> int:
         for index, (_, cell) in enumerate(cells):
             by_split.setdefault(_split_key(cell, seed), []).append(index)
         for indices in by_split.values():
-            memo = {}
+            data = None
             for index in indices:
                 cell_id, cell = cells[index]
                 try:
-                    seed_rows, _ = run_seed(cell, seed, memo)
+                    if data is None:
+                        data = _split(cell, seed)
+                    seed_rows, _ = run_seed(cell, seed, data)
                 except Exception as exc:
                     failures[index].append(
                         {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}

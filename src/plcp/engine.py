@@ -117,6 +117,13 @@ def _masked_argmax(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(y > 0, scores, -np.inf), axis=1)
 
 
+def _base_supervision(state: ConfidenceState, binarize: bool, y: np.ndarray) -> np.ndarray:
+    """What the base trains on: ``ohat``, or its 0/1 mask under ``binarize``."""
+    if binarize:
+        return base_mod.binarize_supervision(state.ohat, state.p, y)
+    return state.ohat
+
+
 def _snapshot(
     p: np.ndarray, labels: np.ndarray, change_frac: float,
     dataset: PartialLabelDataset,
@@ -250,9 +257,7 @@ def run_plcp(
     partner_model = None
 
     for _ in range(config.max_iter):
-        supervision = state.ohat
-        if base_kind.binarize:
-            supervision = base_mod.binarize_supervision(state.ohat, state.p, y)
+        supervision = _base_supervision(state, base_kind.binarize, y)
         m = base_mod.fit_predict_base(base_kind, dataset, supervision, base_prepared)
         p_new = update_labeling_confidence(state.p, m, y, config.alpha)
         o_new = blur.blur_labeling(p_new, y, config.k)
@@ -275,33 +280,24 @@ def run_plcp(
 
     if partner_model is None:
         raise InvariantViolation("the loop ran no round")
-    train_predictions = _masked_argmax(state.p, y)
-    if test_features.shape[0] == 0:
-        test_predictions = np.zeros(0, dtype=int)
-    elif config.predict_from_base:
-        supervision = state.ohat
-        if base_kind.binarize:
-            supervision = base_mod.binarize_supervision(state.ohat, state.p, y)
+    if config.predict_from_base:
+        supervision = _base_supervision(state, base_kind.binarize, y)
         base_system = base_prepared if base_kind.kind == "kernel-ls" else None
         m_test = base_mod.query_outputs(
             base_kind, dataset, supervision, test_features, base_system
         )
         test_predictions = np.argmax(m_test, axis=1)
     else:
-        blocks = kernel.query_blocks(len(test_features), len(x), dataset.label_count)
-        test_predictions = np.concatenate([
-            partner.predict_labels(
-                partner_model, kernel.cross_matrix(test_features[rows], x, partner_spec)
-            )
-            for rows in blocks
-        ])
+        test_predictions = partner.labels_from_output(
+            kernel.predict_query(partner_model.solve, test_features, x, partner_spec)
+        )
 
     return RunReport(
         iterations_run=len(snapshots),
         trajectories=snapshots,
         final_partner=partner_model,
         final_state=state,
-        train_predictions=train_predictions,
+        train_predictions=labels_prev,
         test_predictions=test_predictions,
     )
 

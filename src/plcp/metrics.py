@@ -1,18 +1,8 @@
-"""Evaluation metrics: accuracy, correction ratios, ordinal tolerance."""
+"""Evaluation metrics: accuracy and correction ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    test_accuracy: float
-    transductive_accuracy: float
-    correction_ratio: float
-    miscorrection_ratio: float
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -47,12 +37,3 @@ def correction_metrics(
     miscorrection = broken.sum() / base_right.sum() if base_right.any() else 0.0
     return float(correction), float(miscorrection)
 
-
-def tolerance_accuracy(pred: np.ndarray, truth: np.ndarray, radius: int) -> float:
-    """Ordinal accuracy: a prediction within ``radius`` labels counts as correct."""
-    pred, truth = np.asarray(pred), np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise ValueError("prediction and truth must have equal length")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return float(np.mean(np.abs(pred - truth) <= radius))

@@ -124,9 +124,11 @@ def partner_modeling_output(model: PartnerModel, k_cross: np.ndarray) -> np.ndar
 
 
 def predict_labels(model: PartnerModel, k_cross: np.ndarray) -> np.ndarray:
-    """Predicted labels: the label whose complement confidence is smallest.
+    """Predicted labels of the query rows of ``k_cross``."""
+    return labels_from_output(partner_modeling_output(model, k_cross))
 
-    Ties resolve to the lowest label index.
-    """
-    phat = np.clip(partner_modeling_output(model, k_cross), 0.0, 1.0)
-    return np.argmin(phat, axis=1)
+
+def labels_from_output(phat: np.ndarray) -> np.ndarray:
+    """Per row, the label whose complement confidence, clipped to [0, 1], is
+    smallest. Ties resolve to the lowest label index."""
+    return np.argmin(np.clip(phat, 0.0, 1.0), axis=1)

@@ -92,12 +92,6 @@ def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]
     return c[0], float(nu[0])
 
 
-def solve_row(problem: RowQpProblem) -> np.ndarray:
-    """Unique minimizer of one row problem."""
-    c, _ = solve_row_with_multiplier(problem)
-    return c
-
-
 def kkt_residual(problem: RowQpProblem, c: np.ndarray, nu: float) -> float:
     """Worst violation of stationarity, sign conditions, and the constraints.
 

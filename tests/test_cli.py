@@ -1,6 +1,8 @@
 import io
+import math
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from plcp.cli import (
     parse_experiment_config,
     read_results_csv,
 )
+from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, load_dataset
-from plcp.engine import EngineConfig
+from plcp.engine import EngineConfig, run_base_alone, run_plcp
+from plcp.metrics import accuracy, correction_metrics
 
 GEN_SPEC = """
 [synthetic]
@@ -328,6 +332,88 @@ outputs = {out}
         assert not (tmp_path / "ignored").exists()
 
 
+def without_wall_ms(rows):
+    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+def same_cells(a, b):
+    """Equal, with NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and math.isnan(a[k]) and math.isnan(b[k]))
+        for k in a
+    )
+
+
+class TestRunSeed:
+    """A seed's rows, against rows built from the engine and metrics directly."""
+
+    def expected(self, exp, seed, train, test):
+        base_train, base_test = run_base_alone(train, test.features, exp.engine.base)
+        report = run_plcp(train, test.features, exp.engine)
+        truth = train.ground_truth
+        rows = []
+        for method, train_labels, test_labels, iterations in (
+            ("pl-knn", base_train, base_test, 1),
+            ("pl-knn-plcp", report.train_predictions, report.test_predictions,
+             report.iterations_run),
+        ):
+            metrics = [float("nan")] * 4
+            if truth is not None:
+                metrics = [
+                    accuracy(test_labels, test.ground_truth),
+                    accuracy(train_labels, truth),
+                    *correction_metrics(base_train, train_labels, truth),
+                ]
+            rows.append(dict(zip(cli.RESULT_FIELDS[:-1], [method, seed, *metrics, iterations])))
+        trajectory = []
+        for it, snap in enumerate(report.trajectories, start=1):
+            for i in range(train.n_samples):
+                trajectory.append({
+                    "seed": seed, "iteration": it, "sample": i, "label": int(snap.labels[i]),
+                    "truth_confidence":
+                        "" if truth is None else snap.truth_confidence[i],
+                    "max_false_positive_confidence":
+                        "" if truth is None else snap.max_false_confidence[i],
+                })
+        return rows, trajectory
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_rows_match_engine_and_metrics(self, tmp_path, with_truth):
+        exp = replace(experiment(tmp_path, "pl-knn"), emit_trajectories=True)
+        train, test = cli._split(exp, 1)
+        if not with_truth:
+            train, test = (
+                PartialLabelDataset(features=d.features, candidates=d.candidates)
+                for d in (train, test)
+            )
+        rows, trajectory = cli.run_seed(exp, 1, (train, test))
+        expected_rows, expected_trajectory = self.expected(exp, 1, train, test)
+        assert all(row["wall_ms"] > 0 for row in rows)
+        rows = without_wall_ms(rows)
+        assert len(rows) == 2 and all(map(same_cells, rows, expected_rows))
+        if with_truth:
+            assert rows[0]["correction_ratio"] == rows[0]["miscorrection_ratio"] == 0.0
+        else:
+            assert all(math.isnan(row["test_accuracy"]) for row in rows)
+        assert trajectory == expected_trajectory
+
+    def test_split_built_when_absent(self, tmp_path):
+        exp = experiment(tmp_path, "kernel-ls")
+        given = cli.run_seed(exp, 1, cli._split(exp, 1))[0]
+        assert without_wall_ms(cli.run_seed(exp, 1)[0]) == without_wall_ms(given)
+
+    def test_base_alone_run_kept_on_the_train_set(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, cli, "run_base_alone")
+        exp = experiment(tmp_path, "pl-knn")
+        data = cli._split(exp, 1)
+        first = cli.run_seed(exp, 1, data)[0]
+        again = cli.run_seed(replace(exp, engine=replace(exp.engine, alpha=0.7)), 1, data)[0]
+        assert len(calls) == 1
+        assert again[0] == first[0]
+        cli.run_seed(exp, 1, cli._split(exp, 1))
+        assert len(calls) == 2
+
+
 class TestSweep:
     def test_degenerate_grid_matches_run(self, tmp_path):
         run_cfg = write(
@@ -399,6 +485,43 @@ class TestSweep:
         base = [r for r in rows if r["method"] == "pl-knn"]
         for seed in (1, 2):
             assert len({r["test_accuracy"] for r in base if r["seed"] == seed}) == 1
+
+    def test_split_and_base_alone_once_per_seed_and_split(self, tmp_path, monkeypatch):
+        splits = record_calls(monkeypatch, cli, "_split")
+        bases = record_calls(monkeypatch, cli, "run_base_alone")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\ngamma = 0,2\nalpha = 0.3,0.7\nflip_q = 0.2,0.4\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        split_ids = [(args[1], args[0].synthetic.flip_q) for args, _ in splits]
+        assert sorted(split_ids) == [(1, 0.2), (1, 0.4), (2, 0.2), (2, 0.4)]
+        assert len(bases) == 4
+        assert len(read_results_csv(tmp_path / "out" / "sweep.csv")) == 8 * 2 * 2
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("k_neighbors = 5,2.5", r"\[sweep\] k_neighbors = 2\.5: not an integer"),
+            ("gamma =", r"\[sweep\] gamma: '' lists no values"),
+            ("max_cells = abc\ngamma = 1", r"\[sweep\] max_cells: .*'abc'"),
+            ("alpha = 0.5,1.5", r"\[sweep\] alpha = 1\.5: alpha must be in \[0, 1\]"),
+        ],
+        ids=["fractional-int", "no-values", "bad-max-cells", "out-of-range"],
+    )
+    def test_bad_axis_value_names_key_before_any_cell(
+        self, tmp_path, monkeypatch, sweep, message
+    ):
+        calls = record_calls(monkeypatch, cli, "run_seed")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
+            + f"\n[sweep]\n{sweep}\n",
+        )
+        with pytest.raises(ValueError, match=message):
+            main(["sweep", cfg])
+        assert not calls and not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_unknown_sweep_key_rejected(self, tmp_path):
         cfg = write(

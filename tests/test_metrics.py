@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plcp.metrics import accuracy, correction_metrics, tolerance_accuracy
+from plcp.metrics import accuracy, correction_metrics
 
 
 class TestAccuracy:
@@ -58,28 +58,3 @@ class TestCorrectionMetrics:
         perm = rng.permutation(30)
         assert correction_metrics(base[perm], plcp[perm], truth[perm]) == ref
 
-
-class TestToleranceAccuracy:
-    def test_radius_zero_is_accuracy(self):
-        pred = np.array([3, 5, 7])
-        truth = np.array([3, 4, 7])
-        assert tolerance_accuracy(pred, truth, 0) == accuracy(pred, truth)
-
-    def test_boundary_inclusive(self):
-        truth = np.array([10, 20])
-        assert tolerance_accuracy(truth + 3, truth, 3) == 1.0
-
-    def test_boundary_exclusive(self):
-        truth = np.array([10, 20])
-        assert tolerance_accuracy(truth + 4, truth, 3) == 0.0
-
-    def test_monotone_in_radius(self):
-        rng = np.random.default_rng(1)
-        truth = rng.integers(10, size=50)
-        pred = rng.integers(10, size=50)
-        values = [tolerance_accuracy(pred, truth, r) for r in range(10)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            tolerance_accuracy(np.array([0]), np.array([0]), -1)

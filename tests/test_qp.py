@@ -10,7 +10,6 @@ from plcp.qp import (
     RowQpProblem,
     kkt_residual,
     solve_matrix,
-    solve_row,
     solve_row_with_multiplier,
 )
 
@@ -75,7 +74,8 @@ class TestSolveRow:
             upper=np.array([1.0, 1.0]),
             sum_target=1.0,
         )
-        np.testing.assert_allclose(solve_row(problem), [0.0, 1.0], atol=1e-9)
+        c, _ = solve_row_with_multiplier(problem)
+        np.testing.assert_allclose(c, [0.0, 1.0], atol=1e-9)
 
     def test_interior_hand_solution(self):
         # g = gamma * o with gamma=2, o=[0.5,0.3,0.2]; the stationarity
@@ -94,7 +94,8 @@ class TestSolveRow:
         problem = RowQpProblem(
             linear=np.zeros(3), lower=np.zeros(3), upper=np.ones(3), sum_target=2.0
         )
-        np.testing.assert_allclose(solve_row(problem), [2 / 3] * 3, atol=1e-9)
+        c, _ = solve_row_with_multiplier(problem)
+        np.testing.assert_allclose(c, [2 / 3] * 3, atol=1e-9)
 
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -143,7 +144,7 @@ class TestSolveMatrix:
             upper=np.ones(4),
             sum_target=3.0,
         )
-        np.testing.assert_allclose(out[0], solve_row(problem), atol=1e-10)
+        np.testing.assert_allclose(out[0], solve_row_with_multiplier(problem)[0], atol=1e-10)
 
     def test_random_matrix_against_oracle(self):
         rng = np.random.default_rng(9)
