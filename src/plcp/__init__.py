@@ -19,7 +19,7 @@ from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset,
 from .engine import EngineConfig, RunReport, run_base_alone, run_plcp, should_stop
 from .kernel import KernelSolve, KernelSpec, gram_matrix, kkt_solve, predict
 from .metrics import accuracy, correction_metrics
-from .partner import PartnerConfig, PartnerModel, fit_partner, predict_labels
+from .partner import PartnerConfig, PartnerModel, fit_partner
 from .qp import RowQpProblem, solve_matrix
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "kkt_solve",
     "load_dataset",
     "predict",
-    "predict_labels",
     "run_base_alone",
     "run_plcp",
     "save_dataset",

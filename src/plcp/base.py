@@ -145,12 +145,13 @@ def query_outputs(
     dataset: PartialLabelDataset,
     supervision: np.ndarray,
     query_features: np.ndarray,
-    system: kernel.RidgeSystem | None = None,
+    prepared: np.ndarray | kernel.RidgeSystem | None = None,
 ) -> np.ndarray:
     """Modeling output for unseen samples (no candidate mask applied).
 
-    ``system`` is the kernel least-squares base's ridge system, built here
-    when absent; PL-KNN searches the query rows' neighbours itself.
+    ``prepared`` is as for :func:`fit_predict_base`: the kernel
+    least-squares base solves on it, built here when absent, while PL-KNN
+    searches the query rows' neighbours itself and ignores it.
     """
     supervision = np.asarray(supervision, float)
     query_features = np.asarray(query_features, float)
@@ -163,9 +164,9 @@ def query_outputs(
             )
         table = neighbour_table(query_features, dataset.features, kind.k_neighbors)
         return supervision[table].mean(axis=1)
-    if system is None:
-        system = prepare(kind, dataset)
-    solve = kernel.kkt_solve(system, supervision)
+    if prepared is None:
+        prepared = prepare(kind, dataset)
+    solve = kernel.kkt_solve(prepared, supervision)
     return kernel.predict_query(solve, query_features, dataset.features, kind.kernel)
 
 

@@ -17,7 +17,9 @@ LN2 = math.log(2.0)
 
 
 def validate_temperature(k: float) -> None:
-    """Reject k >= ln 2 (gap amplification); warn on k in [0, ln 2)."""
+    """Reject NaN and k >= ln 2 (gap amplification); warn on k in [0, ln 2)."""
+    if math.isnan(k):
+        raise ValueError("blur temperature k is NaN")
     if k >= LN2:
         raise ValueError(
             f"blur temperature k={k} >= ln 2 amplifies confidence gaps; use k < 0"
@@ -30,12 +32,6 @@ def validate_temperature(k: float) -> None:
         )
 
 
-def _normalize_rows(q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if (np.asarray(y).sum(axis=1) == 0).any():
-        raise ValueError("cannot blur a row with an empty candidate set")
-    return q / q.sum(axis=1, keepdims=True)
-
-
 def blur_labeling(p: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     """Blur a labeling-confidence matrix into row-stochastic supervision.
 
@@ -45,18 +41,16 @@ def blur_labeling(p: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     p, y = np.asarray(p, float), np.asarray(y, float)
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
+    if (y.sum(axis=1) == 0).any():
+        raise ValueError("cannot blur a row with an empty candidate set")
     q = np.exp(math.exp(k) * p) * y
-    return _normalize_rows(q, y)
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def blur_noncandidate(phat: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     """Blur a complement-confidence matrix into candidate-side supervision.
 
     ``1 - phat`` converts the complement confidence back to a labeling
-    confidence before the same transform as :func:`blur_labeling`.
+    confidence, which :func:`blur_labeling` then blurs.
     """
-    phat, y = np.asarray(phat, float), np.asarray(y, float)
-    if phat.shape != y.shape:
-        raise ValueError(f"shape mismatch: {phat.shape} vs {y.shape}")
-    q = np.exp(math.exp(k) * (1.0 - phat)) * y
-    return _normalize_rows(q, y)
+    return blur_labeling(1.0 - np.asarray(phat, float), y, k)

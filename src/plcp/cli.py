@@ -10,12 +10,14 @@ Seeding rule: each run seed expands into per-purpose streams through
 (dataset, split). Appending new consumers never perturbs the existing
 streams.
 
-A sweep runs seed-major: for each seed it builds each split once (only
-the ``flip_q`` axis gives a seed several splits) and runs its grid cells
-back to back. A train set keeps the sigma, ridge factors, kNN tables and
-base-alone run derived from it (see ``PartialLabelDataset.derived``), so
-each is built once per split, and one split's at a time are alive.
-``sweep.csv`` and ``failures.csv`` list the rows cell-major, in grid order.
+``run`` and ``sweep`` run their seeds through one seed-major loop over
+cells; ``run`` is the sweep of its one configured cell. For each seed the
+loop builds each split once (only the ``flip_q`` axis gives a seed several
+splits) and runs that split's cells back to back. A train set keeps the
+sigma, ridge factors, kNN tables and base-alone run derived from it (see
+``PartialLabelDataset.derived``), so each is built once per split, and one
+split's at a time are alive. The output files list the rows cell-major, in
+grid order.
 
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
@@ -424,18 +426,42 @@ TRAJECTORY_FIELDS = (
 )
 
 
+def _run_cells(
+    cells: list[tuple[dict, ExperimentConfig]], seeds: tuple[int, ...]
+) -> tuple[list, list, list]:
+    """Result rows, trajectory rows and failures of every (cell id, config)
+    pair of ``cells`` and every seed, cell-major; the cell id prefixes its
+    result and failure rows. Seed-major, with a seed's cells of one split
+    back to back, so a split and its derived factors are dropped before the
+    next is built; a split that fails fails each of its cells."""
+    out = [([], [], []) for _ in cells]
+    for seed in seeds:
+        by_split: dict[tuple, list[int]] = {}
+        for index, (_, cell) in enumerate(cells):
+            by_split.setdefault(_split_key(cell, seed), []).append(index)
+        for indices in by_split.values():
+            data = None
+            for index in indices:
+                cell_id, cell = cells[index]
+                rows, trajectory_rows, failures = out[index]
+                try:
+                    if data is None:
+                        data = _split(cell, seed)
+                    seed_rows, seed_traj = run_seed(cell, seed, data)
+                except Exception as exc:  # keep the remaining runs alive
+                    failures.append(
+                        {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+                    )
+                    continue
+                rows += [{**cell_id, **row} for row in seed_rows]
+                trajectory_rows += seed_traj
+    return tuple(list(itertools.chain.from_iterable(lists)) for lists in zip(*out))
+
+
 def run_experiment(exp: ExperimentConfig) -> int:
     """Run all seeds, write results/summary/trajectories, return exit code."""
     exp.outputs.mkdir(parents=True, exist_ok=True)
-    rows, trajectory_rows, failures = [], [], []
-    for seed in exp.seeds:
-        try:
-            seed_rows, seed_traj = run_seed(exp, seed)
-        except Exception as exc:  # keep remaining seeds alive
-            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.extend(seed_rows)
-        trajectory_rows.extend(seed_traj)
+    rows, trajectory_rows, failures = _run_cells([({}, exp)], exp.seeds)
 
     write_csv(exp.outputs / "results.csv", RESULT_FIELDS, rows)
     write_csv(exp.outputs / "summary.csv", SUMMARY_FIELDS, summarize(rows))
@@ -500,40 +526,18 @@ def run_sweep(config_path: str | Path) -> int:
         )
         return 2
 
+    # a sweep writes no trajectories, so its cells build none
+    quiet = replace(exp, emit_trajectories=False)
     cells = []
     for combo in itertools.product(*axes.values()):
         cell_id = dict(zip(axes, combo))
-        cell = exp
+        cell = quiet
         for axis, value in cell_id.items():
             cell = _apply_axis(cell, axis, value)
         cells.append((cell_id, cell))
 
     exp.outputs.mkdir(parents=True, exist_ok=True)
-    # Seed-major, and within a seed the cells of one split back to back, so
-    # a split, with the factors its train set derives, is dropped before
-    # the next is built. Rows and failures are kept per cell, so the files
-    # still list the cells in grid order.
-    rows, failures = [[] for _ in cells], [[] for _ in cells]
-    for seed in exp.seeds:
-        by_split: dict[tuple, list[int]] = {}
-        for index, (_, cell) in enumerate(cells):
-            by_split.setdefault(_split_key(cell, seed), []).append(index)
-        for indices in by_split.values():
-            data = None
-            for index in indices:
-                cell_id, cell = cells[index]
-                try:
-                    if data is None:
-                        data = _split(cell, seed)
-                    seed_rows, _ = run_seed(cell, seed, data)
-                except Exception as exc:
-                    failures[index].append(
-                        {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
-                    )
-                    continue
-                rows[index] += [{**cell_id, **row} for row in seed_rows]
-    rows = list(itertools.chain.from_iterable(rows))
-    failures = list(itertools.chain.from_iterable(failures))
+    rows, _, failures = _run_cells(cells, exp.seeds)
 
     write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
     with open(exp.outputs / "resolved_config.ini", "w") as fh:

@@ -38,8 +38,9 @@ class PartialLabelDataset:
     features : (n, d) float array
     candidates : (n, l) 0/1 array, each row marking the candidate set.
         Every row must contain at least one candidate.
-    ground_truth : optional (n,) int array with values in [0, l); when
-        present, the truth must sit inside each sample's candidate set.
+    ground_truth : optional (n,) labels in [0, l), kept as ints; a label
+        that is not a finite integer raises. When present, the truth must
+        sit inside each sample's candidate set.
 
     The dataset keeps read-only copies of its arrays, so what is derived
     from them can never go stale. It also memoizes that derived state (see
@@ -74,12 +75,18 @@ class PartialLabelDataset:
         if empty.size:
             raise ValueError(f"empty candidate set at row {empty[0]}")
         if self.ground_truth is not None:
-            t = _frozen(self.ground_truth, int)
-            object.__setattr__(self, "ground_truth", t)
+            t = np.asarray(self.ground_truth, float)
             if t.shape != (x.shape[0],):
                 raise ValueError("ground_truth length must match sample count")
+            # checked before the cast to int, which would truncate them
+            bad = np.flatnonzero(~np.isfinite(t) | (np.floor(t) != t))
+            if bad.size:
+                row = bad[0]
+                raise ValueError(f"ground_truth label {t[row]} at row {row} is not an integer")
             if t.min() < 0 or t.max() >= y.shape[1]:
                 raise ValueError("ground_truth labels out of range")
+            t = _frozen(t, int)
+            object.__setattr__(self, "ground_truth", t)
             outside = np.flatnonzero(self.candidates[np.arange(t.size), t] == 0)
             if outside.size:
                 raise ValueError(
@@ -141,10 +148,15 @@ def init_confidence(dataset: PartialLabelDataset, k: float = -1.0) -> Confidence
     return ConfidenceState(p=p, phat=phat, o=o, ohat=ohat)
 
 
-def _check_shapes(*mats: np.ndarray) -> None:
-    shapes = {m.shape for m in mats}
+def _blend(prev, m, mask: np.ndarray, alpha: float) -> np.ndarray:
+    """``alpha * prev + (1 - alpha) * m``, for ``prev`` and ``m`` of ``mask``'s shape."""
+    prev, m = np.asarray(prev, float), np.asarray(m, float)
+    shapes = {prev.shape, m.shape, mask.shape}
     if len(shapes) != 1:
         raise ValueError(f"shape mismatch: {sorted(shapes)}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return alpha * prev + (1.0 - alpha) * m
 
 
 def update_labeling_confidence(
@@ -156,12 +168,8 @@ def update_labeling_confidence(
     Rows are deliberately not renormalized here; normalization happens in
     the blur step.
     """
-    p_prev, m, y = np.asarray(p_prev, float), np.asarray(m, float), np.asarray(y, float)
-    _check_shapes(p_prev, m, y)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    blended = alpha * p_prev + (1.0 - alpha) * m
-    return np.clip(blended, 0.0, y)
+    y = np.asarray(y, float)
+    return np.clip(_blend(p_prev, m, y, alpha), 0.0, y)
 
 
 def update_noncandidate_confidence(
@@ -172,10 +180,5 @@ def update_noncandidate_confidence(
     Mirror of :func:`update_labeling_confidence`: non-candidates stay pinned
     at 1, candidates move inside [0, 1].
     """
-    phat_prev = np.asarray(phat_prev, float)
-    mhat, yhat = np.asarray(mhat, float), np.asarray(yhat, float)
-    _check_shapes(phat_prev, mhat, yhat)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    blended = alpha * phat_prev + (1.0 - alpha) * mhat
-    return np.clip(blended, yhat, 1.0)
+    yhat = np.asarray(yhat, float)
+    return np.clip(_blend(phat_prev, mhat, yhat, alpha), yhat, 1.0)

@@ -37,8 +37,8 @@ class SyntheticSpec:
             raise ValueError("need at least two classes")
         if not 0.0 <= self.flip_q < 1.0:
             raise ValueError("flip_q must be in [0, 1)")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
+        if not (math.isfinite(self.cluster_spread) and self.cluster_spread > 0):
+            raise ValueError("cluster_spread must be positive and finite")
 
 
 def _class_means(l: int, d: int, spread: float) -> np.ndarray:
@@ -133,7 +133,7 @@ def load_dataset(
     candidates = _load_csv(candidates_path, "candidates")
     truth = None
     if truth_path is not None:
-        truth = _load_csv(truth_path, "truth").astype(int).reshape(-1)
+        truth = _load_csv(truth_path, "truth").reshape(-1)
     return PartialLabelDataset(
         features=features, candidates=candidates, ground_truth=truth
     )

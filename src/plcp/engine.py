@@ -282,9 +282,8 @@ def run_plcp(
         raise InvariantViolation("the loop ran no round")
     if config.predict_from_base:
         supervision = _base_supervision(state, base_kind.binarize, y)
-        base_system = base_prepared if base_kind.kind == "kernel-ls" else None
         m_test = base_mod.query_outputs(
-            base_kind, dataset, supervision, test_features, base_system
+            base_kind, dataset, supervision, test_features, base_prepared
         )
         test_predictions = np.argmax(m_test, axis=1)
     else:

@@ -25,6 +25,7 @@ query-by-train kernel matrix is alive beside the factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,10 +49,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (math.isfinite(self.ridge) and self.ridge > 0):
+            raise ValueError(f"ridge must be positive and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ def factor_in_place(gram: np.ndarray, ridge: float) -> RidgeSystem:
         raise ValueError("kernel matrix must be a square float64 array")
     if not (gram.flags.f_contiguous and gram.flags.writeable):
         raise ValueError("kernel matrix must be a writeable Fortran-order buffer")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
+    if not (math.isfinite(ridge) and ridge > 0):
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     gram /= 2.0 * ridge
     gram[np.diag_indices(n)] += 0.5
     try:

@@ -10,6 +10,7 @@ monotonically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ class PartnerConfig:
     aggressive: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be at least 1")
 
@@ -116,16 +117,6 @@ def fit_partner(
     if not np.abs(c.sum(axis=1) - (dataset.label_count - 1)).max() <= 1e-9:
         raise InvariantViolation("partner c rows must sum to l - 1")
     return PartnerModel(solve=solve, c=c, objective_trace=np.asarray(trace))
-
-
-def partner_modeling_output(model: PartnerModel, k_cross: np.ndarray) -> np.ndarray:
-    """Complement-confidence estimates for the query rows of ``k_cross``."""
-    return kernel.predict(model.solve, k_cross)
-
-
-def predict_labels(model: PartnerModel, k_cross: np.ndarray) -> np.ndarray:
-    """Predicted labels of the query rows of ``k_cross``."""
-    return labels_from_output(partner_modeling_output(model, k_cross))
 
 
 def labels_from_output(phat: np.ndarray) -> np.ndarray:

@@ -415,24 +415,56 @@ class TestRunSeed:
 
 
 class TestSweep:
-    def test_degenerate_grid_matches_run(self, tmp_path):
+    def test_degenerate_grid_matches_run(self, tmp_path, monkeypatch):
+        # seed 2 fails inside its run, after its split is built
+        original = cli.run_seed
+
+        def failing_seed_2(exp, seed, data=None):
+            if seed == 2:
+                raise RuntimeError("seed 2 fails")
+            return original(exp, seed, data)
+
+        monkeypatch.setattr(cli, "run_seed", failing_seed_2)
         run_cfg = write(
             tmp_path / "run.ini",
-            RUN_CONFIG.format(n=60, max_iter=2, seeds="1", out_dir=tmp_path / "run_out", emit="false"),
+            RUN_CONFIG.format(n=60, max_iter=2, seeds="1,2", out_dir=tmp_path / "run_out", emit="false"),
         )
         sweep_cfg = write(
             tmp_path / "sweep.ini",
-            RUN_CONFIG.format(n=60, max_iter=2, seeds="1", out_dir=tmp_path / "sweep_out", emit="false")
+            RUN_CONFIG.format(n=60, max_iter=2, seeds="1,2", out_dir=tmp_path / "sweep_out", emit="false")
             + "\n[sweep]\ngamma = 2.0\n",
         )
-        main(["run", run_cfg])
-        assert main(["sweep", sweep_cfg]) == 0
-        run_rows = read_results_csv(tmp_path / "run_out" / "results.csv")
-        sweep_rows = read_results_csv(tmp_path / "sweep_out" / "sweep.csv")
-        assert len(sweep_rows) == len(run_rows)
-        for rr, sr in zip(run_rows, sweep_rows):
-            assert sr["gamma"] == 2.0
-            assert sr["test_accuracy"] == rr["test_accuracy"]
+        assert main(["run", run_cfg]) == 1
+        assert main(["sweep", sweep_cfg]) == 1
+
+        def read(name, *drop):
+            rows = read_results_csv(tmp_path / name)
+            return [{k: v for k, v in row.items() if k not in drop} for row in rows]
+
+        run_rows = read("run_out/results.csv", "wall_ms")
+        assert len(run_rows) == 2 and {row["seed"] for row in run_rows} == {1}
+        sweep_rows = read("sweep_out/sweep.csv", "wall_ms")
+        assert all(row.pop("gamma") == 2.0 for row in sweep_rows)
+        assert sweep_rows == run_rows
+        run_failures = read("run_out/failures.csv")
+        assert run_failures == [{"seed": 2, "error": "RuntimeError: seed 2 fails"}]
+        sweep_failures = read("sweep_out/failures.csv")
+        assert all(row.pop("gamma") == 2.0 for row in sweep_failures)
+        assert sweep_failures == run_failures
+
+    def test_cells_build_no_trajectories(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, cli, "run_seed")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="true")
+            + "\n[sweep]\nalpha = 0.3,0.7\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        assert len(calls) == 4
+        assert not any(args[0].emit_trajectories for args, _ in calls)
+        assert not (tmp_path / "out" / "trajectories.csv").exists()
+        # the resolved config still records the INI file's value
+        assert "emit_trajectories = true" in (tmp_path / "out" / "resolved_config.ini").read_text()
 
     def test_temperature_grid(self, tmp_path):
         cfg = write(
@@ -440,7 +472,8 @@ class TestSweep:
             RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
             + "\n[sweep]\nk = -5,-1,0.5\n",
         )
-        assert main(["sweep", cfg]) == 0
+        with pytest.warns(UserWarning, match="k=0.5"):
+            assert main(["sweep", cfg]) == 0
         rows = read_results_csv(tmp_path / "out" / "sweep.csv")
         assert sorted({r["k"] for r in rows}) == [-5.0, -1.0, 0.5]
 
@@ -520,6 +553,17 @@ class TestSweep:
             + f"\n[sweep]\n{sweep}\n",
         )
         with pytest.raises(ValueError, match=message):
+            main(["sweep", cfg])
+        assert not calls and not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_nan_temperature_axis_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, cli, "run_seed")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nk = -1,nan\n",
+        )
+        with pytest.raises(ValueError, match=r"\[sweep\] k = nan: blur temperature k is NaN"):
             main(["sweep", cfg])
         assert not calls and not (tmp_path / "out" / "sweep.csv").exists()
 
@@ -759,6 +803,26 @@ class TestIniTypos:
     )
     def test_boolean_spellings(self, tmp_path, text, value):
         assert self.parse(tmp_path, f"[base]\nbinarize = {text}\n").engine.base.binarize is value
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("kernel", "sigma", "nan"),
+            ("kernel", "sigma", "inf"),
+            ("partner", "ridge", "nan"),
+            ("partner", "ridge", "inf"),
+            ("partner", "gamma", "nan"),
+            ("partner", "gamma", "inf"),
+            ("engine", "k", "nan"),
+            ("dataset", "cluster_spread", "nan"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, section, key, value):
+        with pytest.raises(ValueError, match=rf"\b{key} (must be .* finite|is NaN)"):
+            self.parse(tmp_path, f"[{section}]\n{key} = {value}\n")
+
+    def test_minus_infinity_temperature_kept(self, tmp_path):
+        assert self.parse(tmp_path, "[engine]\nk = -inf\n").engine.k == -math.inf
 
     def test_bad_number_names_its_key(self, tmp_path):
         with pytest.raises(ValueError, match=r"\[engine\] max_iter"):

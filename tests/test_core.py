@@ -27,6 +27,25 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="outside candidate"):
             make_dataset([[1, 0], [0, 1]], truth=[1, 1])
 
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ([0.7, 1.5, 1.0], "label 0.7 at row 0"),
+            ([0, 1, 1.5], "label 1.5 at row 2"),
+            ([0, np.nan, 1], "label nan at row 1"),
+            ([0, 1, np.inf], "label inf at row 2"),
+        ],
+        ids=["fractional", "fractional-later-row", "nan", "inf"],
+    )
+    def test_non_integer_truth_rejected(self, truth, message):
+        with pytest.raises(ValueError, match=f"{message} is not an integer"):
+            make_dataset(np.ones((3, 2)), truth=truth)
+
+    def test_integer_valued_float_truth_kept(self):
+        ds = make_dataset(np.ones((3, 2)), truth=np.array([0.0, 1.0, 1.0]))
+        assert ds.ground_truth.dtype.kind == "i"
+        np.testing.assert_array_equal(ds.ground_truth, [0, 1, 1])
+
     def test_nan_features_rejected(self):
         x = np.array([[np.nan, 0.0]])
         with pytest.raises(ValueError, match="NaN"):

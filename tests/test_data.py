@@ -48,6 +48,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=2, l=3, flip_q=1.0)
 
+    @pytest.mark.parametrize("spread", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_cluster_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="cluster_spread must be positive and finite"):
+            SyntheticSpec(n=10, d=2, l=3, flip_q=0.3, cluster_spread=spread)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -125,6 +130,14 @@ class TestSaveLoad:
         np.savetxt(tmp_path / "y.csv", np.array([[1, 0], [0, 1]]), delimiter=",")
         np.savetxt(tmp_path / "t.csv", np.array([0, 0]), delimiter=",")
         with pytest.raises(ValueError, match="outside candidate"):
+            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("label", ["nan", "1.5"])
+    def test_non_integer_truth_names_its_row(self, tmp_path, label):
+        np.savetxt(tmp_path / "x.csv", np.zeros((3, 2)), delimiter=",")
+        np.savetxt(tmp_path / "y.csv", np.ones((3, 2)), delimiter=",")
+        (tmp_path / "t.csv").write_text(f"0\n1\n{label}\n")
+        with pytest.raises(ValueError, match=f"label {label} at row 2 is not an integer"):
             load_dataset(tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv")
 
     def test_missing_file(self, tmp_path):

@@ -215,6 +215,19 @@ class TestConfigValidation:
         with pytest.warns(UserWarning):
             EngineConfig(k=0.5)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="k is NaN"):
+            EngineConfig(k=float("nan"))
+
+    def test_minus_infinity_temperature_blurs_to_uniform(self):
+        ds = generate_synthetic(SyntheticSpec(n=40, d=2, l=3, flip_q=0.5, seed=3))
+        train, test = split(ds, 0.5, seed=4)
+        report = run_plcp(train, test.features, EngineConfig(k=-np.inf, max_iter=2))
+        y = train.candidates
+        uniform = y / y.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(report.final_state.o, uniform, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(report.final_state.ohat, uniform, rtol=0, atol=1e-15)
+
     def test_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):
             EngineConfig(partner=PartnerConfig(gamma=-1.0))
@@ -270,7 +283,8 @@ def test_blocked_test_prediction_equals_one_cross_matrix():
     spec = KernelSpec(sigma=kernel.resolve_sigma(train.features, KernelSpec()))
     k_cross = kernel.cross_matrix(test.features, train.features, spec)
     np.testing.assert_array_equal(
-        report.test_predictions, partner.predict_labels(report.final_partner, k_cross)
+        report.test_predictions,
+        partner.labels_from_output(kernel.predict(report.final_partner.solve, k_cross)),
     )
 
 

@@ -256,6 +256,20 @@ class TestQueryBlocks:
             assert l >= 2
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            KernelSpec(sigma=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_ridge_rejected(self, value):
+        with pytest.raises(ValueError, match="ridge must be positive and finite"):
+            KernelSpec(ridge=value)
+        with pytest.raises(ValueError, match="ridge must be positive and finite"):
+            kkt_solve(np.eye(2), np.eye(2), value)
+
+
 class TestRidgeSystem:
     def test_shared_system_matches_one_off_solves(self):
         rng = np.random.default_rng(17)

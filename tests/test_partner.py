@@ -5,18 +5,14 @@ from plcp.core import PartialLabelDataset
 from plcp.kernel import (
     KernelSolve,
     KernelSpec,
+    cross_matrix,
     gram_matrix,
     kkt_solve,
+    predict,
     ridge_system,
     training_output,
 )
-from plcp.partner import (
-    PartnerConfig,
-    PartnerModel,
-    fit_partner,
-    partner_modeling_output,
-    predict_labels,
-)
+from plcp.partner import PartnerConfig, PartnerModel, fit_partner, labels_from_output
 from plcp.qp import solve_matrix
 
 
@@ -148,6 +144,11 @@ class TestFitPartner:
         with pytest.raises(ValueError, match="ridge"):
             fit_partner(dataset, uniform_supervision(dataset), PartnerConfig(), system)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be non-negative and finite"):
+            PartnerConfig(gamma=gamma)
+
     def test_supervision_shape_rejected(self):
         rng = np.random.default_rng(1)
         dataset = random_dataset(rng)
@@ -161,22 +162,14 @@ def bias_only_model(bias):
 
 
 class TestPrediction:
-    def test_modeling_output_delegates_to_kernel(self):
-        rng = np.random.default_rng(2)
-        dataset = random_dataset(rng, n=10)
-        config = PartnerConfig()
-        model = fit_partner(dataset, uniform_supervision(dataset), config)
-        out = partner_modeling_output(model, gram_matrix(dataset.features, config.kernel))
-        np.testing.assert_allclose(out, training_output(model.solve))
-
     def test_argmin_of_complement_confidence(self):
         model = bias_only_model([0.9, 0.1, 0.8])
-        labels = predict_labels(model, np.array([[1.0], [0.3]]))
+        labels = labels_from_output(predict(model.solve, np.array([[1.0], [0.3]])))
         np.testing.assert_array_equal(labels, [1, 1])
 
     def test_tie_breaks_to_lowest_index(self):
         model = bias_only_model([0.4, 0.4, 0.4])
-        assert predict_labels(model, np.array([[1.0]]))[0] == 0
+        assert labels_from_output(predict(model.solve, np.array([[1.0]])))[0] == 0
 
     def test_separable_clusters_perfect_accuracy(self):
         rng = np.random.default_rng(9)
@@ -190,7 +183,5 @@ class TestPrediction:
         spec = KernelSpec(sigma=2.0)
         model = fit_partner(dataset, candidates, PartnerConfig(kernel=spec))
         test_x = np.vstack([rng.normal(size=(5, 2)) * 0.2, rng.normal(size=(5, 2)) * 0.2 + 8.0])
-        from plcp.kernel import cross_matrix
-
-        labels = predict_labels(model, cross_matrix(test_x, features, spec))
+        labels = labels_from_output(predict(model.solve, cross_matrix(test_x, features, spec)))
         np.testing.assert_array_equal(labels, [0] * 5 + [1] * 5)
