@@ -111,8 +111,7 @@ def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
         return neighbour_table(
             dataset.features, dataset.features, kind.k_neighbors, exclude_self=True
         )
-    gram = kernel.gram_matrix(dataset.features, kind.kernel)
-    return kernel.factor_in_place(gram, kind.kernel.ridge)
+    return kernel.ridge_system(dataset.features, kind.kernel)
 
 
 def fit_predict_base(

@@ -79,6 +79,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct and non-negative, got {self.seeds}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError("train_frac must be strictly between 0 and 1")
         if self.synthetic is None and (
             self.features_path is None or self.candidates_path is None
         ):
@@ -501,6 +505,8 @@ def _axis_values(raw: str) -> list[float]:
     values = [float(v) for v in raw.split(",") if v.strip()]
     if not values:
         raise ValueError(f"{raw!r} lists no values")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{raw!r} repeats a value")
     return values
 
 

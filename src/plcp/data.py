@@ -39,6 +39,8 @@ class SyntheticSpec:
             raise ValueError("flip_q must be in [0, 1)")
         if not (math.isfinite(self.cluster_spread) and self.cluster_spread > 0):
             raise ValueError("cluster_spread must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _class_means(l: int, d: int, spread: float) -> np.ndarray:

@@ -156,24 +156,17 @@ def _ridge_systems(
     A call that needs a spec the memo lacks first drops the systems it does
     not ask for, so the memo never holds more factors than one run uses; a
     sweep, whose cells come ridge-outer, still builds each system once per
-    dataset. Systems built by one call share a gram when their kind and
-    sigma agree, as the gram does not depend on the ridge. The last system
-    of a gram is factored in the gram's own buffer and the others in copies
-    of it, so the call leaves no n x n array behind but the factors.
+    dataset. Each missing system is built by :func:`kernel.ridge_system`
+    from a gram of its own, so the call leaves no n x n array behind but
+    the factors.
     """
     systems = dataset.derived("ridge", dict)
     if any(spec not in systems for spec in specs):
         for stale in set(systems).difference(specs):
             del systems[stale]
-        groups: dict = {}
-        for spec in dict.fromkeys(specs):
+        for spec in specs:
             if spec not in systems:
-                groups.setdefault((spec.kind, spec.sigma), []).append(spec)
-        for *copied, last in groups.values():
-            gram = kernel.gram_matrix(dataset.features, last)
-            for spec in copied:
-                systems[spec] = kernel.ridge_system(gram, spec.ridge)
-            systems[last] = kernel.factor_in_place(gram, last.ridge)
+                systems[spec] = kernel.ridge_system(dataset.features, spec)
     return [systems[spec] for spec in specs]
 
 

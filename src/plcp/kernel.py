@@ -16,9 +16,10 @@ so a Cholesky factorization is always applicable. ``B`` and ``s`` depend on
 the gram and the ridge only, so a :class:`RidgeSystem` factors them once
 per (gram, ridge) and every solve onto a new target ``C`` reuses that factor.
 
-The gram is the one n x n array a run needs: :func:`gram_matrix` builds it
-in a single Fortran-order buffer, and :func:`factor_in_place` turns that
-buffer into ``B`` and then into its Cholesky factor without a copy. Query
+The gram is the one n x n array a run needs: :func:`ridge_system` builds
+it with :func:`gram_matrix` in a single Fortran-order buffer and turns
+that buffer into ``B`` and then into its Cholesky factor without a copy.
+Only the one-off :func:`kkt_solve` on a given gram factors a copy. Query
 rows are predicted one block at a time (:func:`predict_query`), so no
 query-by-train kernel matrix is alive beside the factor.
 """
@@ -59,9 +60,8 @@ class KernelSpec:
 class RidgeSystem:
     """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
 
-    Built by :func:`factor_in_place`, whose factor lives in the gram's own
-    buffer, or by :func:`ridge_system` from a copy of the gram. Every
-    :func:`kkt_solve` on it reuses the factor and ``s_row``.
+    Built by :func:`ridge_system`, whose factor lives in the gram's own
+    buffer. Every :func:`kkt_solve` on it reuses the factor and ``s_row``.
     """
 
     ridge: float
@@ -111,8 +111,8 @@ def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Train-by-train kernel matrix, in Fortran order.
 
     The matrix is built in one buffer, with no second n x n temporary, and
-    that buffer is the one :func:`factor_in_place` overwrites with the
-    factor. It is symmetric, so writing its C-order transpose fills it.
+    that buffer is the one :func:`ridge_system` overwrites with the factor.
+    It is symmetric, so writing its C-order transpose fills it.
     """
     x = np.asarray(x, float)
     if not np.isfinite(x).all():
@@ -134,35 +134,21 @@ def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> 
     return _gaussian(cdist(x_query, x_train, "sqeuclidean"), sigma)
 
 
-def ridge_system(k_gram: np.ndarray, ridge: float) -> RidgeSystem:
-    """Factor ``B = K/(2*ridge) + I/2`` once for every solve on this gram.
-
-    The factor is built in a copy, so ``k_gram`` is left as it is; a caller
-    that owns a gram it no longer needs hands it to :func:`factor_in_place`.
-    """
-    k_gram = np.asarray(k_gram, float)
-    if not np.isfinite(k_gram).all():
-        raise ValueError("kernel matrix contains NaN or Inf")
-    return factor_in_place(np.array(k_gram, order="F"), ridge)
+def ridge_system(x: np.ndarray, spec: KernelSpec) -> RidgeSystem:
+    """Factor ``B = K/(2*ridge) + I/2`` of ``x``'s gram under ``spec`` once
+    for every solve on it, in the gram's own buffer."""
+    return _factor_in_place(gram_matrix(x, spec), spec.ridge)
 
 
-def factor_in_place(gram: np.ndarray, ridge: float) -> RidgeSystem:
-    """:func:`ridge_system` of ``gram``, factored in ``gram``'s own buffer.
+def _factor_in_place(gram: np.ndarray, ridge: float) -> RidgeSystem:
+    """Turn ``gram``, a writeable Fortran-order float64 array, into ``B``
+    and then into its factor.
 
-    ``gram`` must be a writeable Fortran-order float64 array, as
-    :func:`gram_matrix` returns it; it becomes ``B`` and then the factor,
-    so the caller must not read it afterwards. Raises a ``RuntimeError``
-    that names the failing leading minor when the (theoretically SPD)
-    system turns out not positive definite, which indicates a broken
-    kernel matrix.
+    Raises a ``RuntimeError`` that names the failing leading minor when the
+    (theoretically SPD) system turns out not positive definite, which
+    indicates a broken kernel matrix.
     """
     n = gram.shape[0]
-    if gram.shape != (n, n) or gram.dtype != np.float64:
-        raise ValueError("kernel matrix must be a square float64 array")
-    if not (gram.flags.f_contiguous and gram.flags.writeable):
-        raise ValueError("kernel matrix must be a writeable Fortran-order buffer")
-    if not (math.isfinite(ridge) and ridge > 0):
-        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     gram /= 2.0 * ridge
     gram[np.diag_indices(n)] += 0.5
     try:
@@ -182,12 +168,19 @@ def kkt_solve(
     """Closed-form dual ridge solve onto ``target``.
 
     ``system`` is a prebuilt :class:`RidgeSystem`, or a kernel matrix that
-    is factored with ``ridge`` for this one solve.
+    is factored with ``ridge`` for this one solve, in a copy.
     """
     if not isinstance(system, RidgeSystem):
         if ridge is None:
             raise ValueError("a kernel matrix needs its ridge")
-        system = ridge_system(system, ridge)
+        if not (math.isfinite(ridge) and ridge > 0):
+            raise ValueError(f"ridge must be positive and finite, got {ridge}")
+        gram = np.array(system, float, order="F")
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValueError("kernel matrix must be square")
+        if not np.isfinite(gram).all():
+            raise ValueError("kernel matrix contains NaN or Inf")
+        system = _factor_in_place(gram, ridge)
     elif ridge is not None:
         raise ValueError("a prebuilt ridge system carries its own ridge")
     target = np.asarray(target, float)

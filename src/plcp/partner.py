@@ -36,6 +36,10 @@ class PartnerConfig:
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be at least 1")
+        if not (math.isfinite(self.inner_tol) and self.inner_tol >= 0):
+            raise ValueError(
+                f"inner_tol must be non-negative and finite, got {self.inner_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,7 @@ def fit_partner(
         raise ValueError("supervision shape must match the candidate matrix")
     yhat = dataset.noncandidates
     if system is None:
-        system = kernel.factor_in_place(
-            kernel.gram_matrix(dataset.features, config.kernel), config.kernel.ridge
-        )
+        system = kernel.ridge_system(dataset.features, config.kernel)
     elif system.ridge != config.kernel.ridge:
         raise ValueError("the ridge system's ridge differs from config.kernel.ridge")
 

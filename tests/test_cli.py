@@ -166,10 +166,9 @@ def fit_path_tables(calls):
 
 def track_ridge_systems(monkeypatch):
     """Weak references to every ridge system built, and how many were alive
-    when each was built. Every system, copied or not, is factored by
-    ``kernel.factor_in_place``."""
+    when each was built. Every system is built by ``kernel.ridge_system``."""
     refs, alive_at_build = [], []
-    original = kernel.factor_in_place
+    original = kernel.ridge_system
 
     def tracked(*args):
         alive_at_build.append(sum(ref() is not None for ref in refs))
@@ -177,7 +176,7 @@ def track_ridge_systems(monkeypatch):
         refs.append(weakref.ref(system))
         return system
 
-    monkeypatch.setattr(kernel, "factor_in_place", tracked)
+    monkeypatch.setattr(kernel, "ridge_system", tracked)
     return refs, alive_at_build
 
 
@@ -540,8 +539,9 @@ class TestSweep:
             ("gamma =", r"\[sweep\] gamma: '' lists no values"),
             ("max_cells = abc\ngamma = 1", r"\[sweep\] max_cells: .*'abc'"),
             ("alpha = 0.5,1.5", r"\[sweep\] alpha = 1\.5: alpha must be in \[0, 1\]"),
+            ("gamma = 1,1", r"\[sweep\] gamma: '1,1' repeats a value"),
         ],
-        ids=["fractional-int", "no-values", "bad-max-cells", "out-of-range"],
+        ids=["fractional-int", "no-values", "bad-max-cells", "out-of-range", "repeated"],
     )
     def test_bad_axis_value_names_key_before_any_cell(
         self, tmp_path, monkeypatch, sweep, message
@@ -609,7 +609,7 @@ class TestSharedDerivedState:
 
     def test_lambda_sweep_builds_once_per_seed_and_ridge(self, tmp_path, monkeypatch):
         grams = record_calls(monkeypatch, kernel, "gram_matrix")
-        systems = record_calls(monkeypatch, kernel, "factor_in_place")
+        systems = record_calls(monkeypatch, kernel, "ridge_system")
         cfg = write(
             tmp_path / "sweep.ini",
             RUN_CONFIG.format(n=60, max_iter=1, seeds="1,2", out_dir=tmp_path / "out", emit="false")
@@ -617,7 +617,7 @@ class TestSharedDerivedState:
         )
         assert main(["sweep", cfg]) == 0
         # the base keeps the INI ridge 0.05, which the first lambda shares
-        ridges = Counter(args[1] for args, _ in systems)
+        ridges = Counter(args[1].ridge for args, _ in systems)
         assert ridges == {0.05: 2, 0.2: 2, 0.5: 2}
         assert len(grams) == 6
 
@@ -815,11 +815,32 @@ class TestIniTypos:
             ("partner", "gamma", "inf"),
             ("engine", "k", "nan"),
             ("dataset", "cluster_spread", "nan"),
+            ("partner", "inner_tol", "nan"),
+            ("partner", "inner_tol", "inf"),
+            ("partner", "inner_tol", "-1"),
         ],
     )
     def test_non_finite_value_rejected(self, tmp_path, section, key, value):
         with pytest.raises(ValueError, match=rf"\b{key} (must be .* finite|is NaN)"):
             self.parse(tmp_path, f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("train_frac = 1.5", "train_frac must be strictly between 0 and 1"),
+            ("seeds = -1,2", "seeds must be distinct and non-negative"),
+            ("seeds = 1,1", "seeds must be distinct and non-negative"),
+        ],
+        ids=["train-frac", "negative-seed", "repeated-seed"],
+    )
+    def test_run_setting_that_fails_later_rejected(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            self.parse(tmp_path, f"[run]\n{text}\n")
+
+    def test_generate_negative_seed_rejected(self, tmp_path):
+        spec = write(tmp_path / "spec.ini", "[synthetic]\nseed = -1\n")
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            main(["generate", spec])
 
     def test_minus_infinity_temperature_kept(self, tmp_path):
         assert self.parse(tmp_path, "[engine]\nk = -inf\n").engine.k == -math.inf

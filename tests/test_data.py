@@ -48,6 +48,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=2, l=3, flip_q=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SyntheticSpec(n=10, d=2, l=3, flip_q=0.3, seed=-1)
+
     @pytest.mark.parametrize("spread", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_cluster_spread_rejected(self, spread):
         with pytest.raises(ValueError, match="cluster_spread must be positive and finite"):

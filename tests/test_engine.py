@@ -141,9 +141,9 @@ class TestRunPlcp:
         acc = accuracy(report.test_predictions, test.ground_truth)
         assert acc > 0.5
 
-    def test_kernel_ls_base_shares_gram_across_ridges(self, monkeypatch):
+    def test_kernel_ls_base_builds_one_gram_per_ridge(self, monkeypatch):
         # a lambda sweep cell: the partner's ridge differs from the base's,
-        # but the gram depends on kind and sigma only, so it is built once
+        # and each ridge system is factored in the buffer of its own gram
         calls = []
         original = kernel.gram_matrix
 
@@ -159,7 +159,7 @@ class TestRunPlcp:
         )
         ds = generate_synthetic(SyntheticSpec(n=60, d=3, l=3, flip_q=0.3, seed=21))
         run_plcp(ds, ds.features[:5], config)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "base, partner_ridge, factors",

@@ -11,7 +11,6 @@ from plcp.kernel import (
     KernelSpec,
     RidgeSystem,
     cross_matrix,
-    factor_in_place,
     gram_matrix,
     kkt_solve,
     predict,
@@ -273,22 +272,26 @@ class TestKernelSpec:
 class TestRidgeSystem:
     def test_shared_system_matches_one_off_solves(self):
         rng = np.random.default_rng(17)
-        k = gram_matrix(rng.normal(size=(12, 3)), KernelSpec())
-        system = ridge_system(k, 0.05)
-        for _ in range(3):
-            c = rng.normal(size=(12, 4))
-            shared, one_off = kkt_solve(system, c), kkt_solve(k, c, 0.05)
-            np.testing.assert_array_equal(shared.dual_coeffs, one_off.dual_coeffs)
-            np.testing.assert_array_equal(shared.bias, one_off.bias)
+        x = rng.normal(size=(50, 3))
+        for spec in (KernelSpec(), KernelSpec(kind="linear", ridge=0.2)):
+            system = ridge_system(x, spec)
+            gram = gram_matrix(x, spec)
+            for _ in range(3):
+                c = rng.normal(size=(50, 4))
+                shared, one_off = kkt_solve(system, c), kkt_solve(gram, c, spec.ridge)
+                np.testing.assert_array_equal(shared.dual_coeffs, one_off.dual_coeffs)
+                np.testing.assert_array_equal(shared.bias, one_off.bias)
+                np.testing.assert_array_equal(shared.fitted, one_off.fitted)
 
     def test_gram_left_untouched(self):
+        # the one-off solve factors a copy of the caller's gram
         k = gram_matrix(np.random.default_rng(2).normal(size=(6, 2)), KernelSpec())
         before = k.copy()
-        ridge_system(k, 0.05)
+        kkt_solve(k, np.zeros((6, 2)), 0.05)
         np.testing.assert_array_equal(k, before)
 
     def test_ridge_given_once(self):
-        system = ridge_system(np.eye(3), 0.05)
+        system = ridge_system(np.random.default_rng(3).normal(size=(3, 2)), KernelSpec())
         with pytest.raises(ValueError, match="own ridge"):
             kkt_solve(system, np.zeros((3, 2)), 0.05)
         with pytest.raises(ValueError, match="needs its ridge"):
@@ -301,23 +304,9 @@ class TestRidgeSystem:
 
     def test_non_finite_gram_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            ridge_system(np.full((3, 3), np.nan), 0.05)
+            kkt_solve(np.full((3, 3), np.nan), np.zeros((3, 2)), 0.05)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
-    def test_factor_in_place_matches_the_copying_build(self, kind):
-        x = np.random.default_rng(8).normal(size=(50, 3))
-        gram = gram_matrix(x, KernelSpec(kind=kind))
-        copied = ridge_system(gram, 0.05)
-        in_place = factor_in_place(gram, 0.05)
-        # the gram's buffer became the factor
-        assert np.shares_memory(in_place.factor[0], gram)
-        np.testing.assert_array_equal(in_place.factor[0], copied.factor[0])
-        np.testing.assert_array_equal(in_place.s_row, copied.s_row)
-
-    def test_factor_in_place_needs_a_fortran_buffer(self):
-        with pytest.raises(ValueError, match="Fortran"):
-            factor_in_place(np.eye(3), 0.05)
-        frozen = np.asfortranarray(np.eye(3))
-        frozen.flags.writeable = False
-        with pytest.raises(ValueError, match="Fortran"):
-            factor_in_place(frozen, 0.05)
+    @pytest.mark.parametrize("shape", [(3,), (3, 3, 3)])
+    def test_non_square_gram_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            kkt_solve(np.ones(shape), np.zeros((3, 2)), 0.05)

@@ -140,7 +140,7 @@ class TestFitPartner:
     def test_system_ridge_must_match_config(self):
         rng = np.random.default_rng(1)
         dataset = random_dataset(rng)
-        system = ridge_system(gram_matrix(dataset.features, KernelSpec()), 0.2)
+        system = ridge_system(dataset.features, KernelSpec(ridge=0.2))
         with pytest.raises(ValueError, match="ridge"):
             fit_partner(dataset, uniform_supervision(dataset), PartnerConfig(), system)
 
@@ -148,6 +148,12 @@ class TestFitPartner:
     def test_non_finite_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma must be non-negative and finite"):
             PartnerConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_inner_tol_rejected(self, tol):
+        # the stop test abs(prev - curr) <= tol * max(1, |prev|) would never hold
+        with pytest.raises(ValueError, match="inner_tol must be non-negative and finite"):
+            PartnerConfig(inner_tol=tol)
 
     def test_supervision_shape_rejected(self):
         rng = np.random.default_rng(1)
