@@ -3,10 +3,12 @@
 Two bases cover the coupling paths the mutual-supervision loop must
 support: neighbor averaging of supervision rows (confidence-friendly
 PL-KNN) and a kernel least-squares regression onto the supervision, which
-shares the partner's dual solver. Neither changes between rounds of a run:
-PL-KNN's neighbour table is searched in blocks of rows and the kernel
-least-squares base reuses one factored ridge system; the engine takes
-both from the train set's memo, so each is built once per train set.
+shares the partner's dual solver. One call, :func:`fit_predict_base`,
+answers the train rows and any query rows from one fit. What a fit reads
+besides the supervision does not change between rounds of a run: PL-KNN's
+neighbour table is searched in blocks of rows and the kernel least-squares
+base reuses one factored ridge system; the engine takes both from the
+train set's memo, so each is built once per train set.
 """
 
 from __future__ import annotations
@@ -119,13 +121,17 @@ def fit_predict_base(
     dataset: PartialLabelDataset,
     supervision: np.ndarray,
     prepared: np.ndarray | kernel.RidgeSystem | None = None,
-) -> np.ndarray:
-    """Train-side modeling output of the base under the given supervision.
+    query: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Modeling output of the base under the given supervision, as
+    ``(train_output, query_output)``; ``query_output`` is None without
+    ``query`` rows.
 
     PL-KNN averages the supervision rows of each sample's nearest
-    neighbors (self excluded) and masks the result by the candidate set;
-    the blend/clamp step downstream handles normalization. The kernel
-    least-squares base returns the ridge regression output onto the
+    neighbors, self excluded on the train rows, and masks the train output
+    by the candidate set; the blend/clamp step downstream handles
+    normalization. Query rows, unseen samples, get no mask. The kernel
+    least-squares base answers both from one ridge regression onto the
     supervision. ``prepared`` is what :func:`prepare` returns for ``kind``
     and ``dataset``, built here when absent.
     """
@@ -135,38 +141,17 @@ def fit_predict_base(
     if prepared is None:
         prepared = prepare(kind, dataset)
     if kind.kind == "pl-knn":
-        return supervision[prepared].mean(axis=1) * dataset.candidates
-    return kernel.training_output(kernel.kkt_solve(prepared, supervision))
-
-
-def query_outputs(
-    kind: BaseClassifierKind,
-    dataset: PartialLabelDataset,
-    supervision: np.ndarray,
-    query_features: np.ndarray,
-    prepared: np.ndarray | kernel.RidgeSystem | None = None,
-) -> np.ndarray:
-    """Modeling output for unseen samples (no candidate mask applied).
-
-    ``prepared`` is as for :func:`fit_predict_base`: the kernel
-    least-squares base solves on it, built here when absent, while PL-KNN
-    searches the query rows' neighbours itself and ignores it.
-    """
-    supervision = np.asarray(supervision, float)
-    query_features = np.asarray(query_features, float)
-    if kind.kind == "pl-knn":
-        # no query row is a training sample, so k may reach the sample count
-        n = dataset.n_samples
-        if kind.k_neighbors > n:
-            raise ValueError(
-                f"k_neighbors={kind.k_neighbors} exceeds the training sample count {n}"
-            )
-        table = neighbour_table(query_features, dataset.features, kind.k_neighbors)
-        return supervision[table].mean(axis=1)
-    if prepared is None:
-        prepared = prepare(kind, dataset)
+        # prepare() keeps k below the sample count, so every query row
+        # finds its k neighbours among the train rows
+        train_output = supervision[prepared].mean(axis=1) * dataset.candidates
+        if query is None:
+            return train_output, None
+        table = neighbour_table(query, dataset.features, kind.k_neighbors)
+        return train_output, supervision[table].mean(axis=1)
     solve = kernel.kkt_solve(prepared, supervision)
-    return kernel.predict_query(solve, query_features, dataset.features, kind.kernel)
+    if query is None:
+        return solve.fitted, None
+    return solve.fitted, kernel.predict_query(solve, query, dataset.features, kind.kernel)
 
 
 def binarize_supervision(

@@ -3,7 +3,8 @@
 Config files are flat INI (``key = value`` under sections). One table of
 INI keys, each naming the config fields it sets, drives parsing, the
 sweep axes and the resolved configuration that every ``run`` or
-``sweep`` writes next to its results for provenance.
+``sweep`` writes next to its results for provenance. An unknown section
+or key is a typo and raises a ``ValueError`` before any run starts.
 
 Seeding rule: each run seed expands into per-purpose streams through
 ``np.random.SeedSequence(seed).spawn(2)``, consumed in the fixed order
@@ -171,6 +172,10 @@ GENERATE_KEYS = tuple(
     for name, conv in _SYNTHETIC_FIELDS + (("seed", int),)
 )
 
+# the sections ``run`` and ``sweep`` accept (one file serves both), and ``generate``'s
+EXPERIMENT_SECTIONS = ("dataset", "engine", "base", "partner", "kernel", "run", "sweep")
+GENERATE_SECTIONS = ("synthetic", "output")
+
 # sweep axis -> the config path it varies. lambda moves the partner's ridge
 # only; a kernel-ls base keeps the [partner] ridge of the INI file.
 SWEEP_AXES = {
@@ -243,16 +248,23 @@ def _read_keys(cfg: configparser.ConfigParser, keys, also=()) -> dict[str, Any]:
     return changes
 
 
-def _read_ini(path: str | Path) -> configparser.ConfigParser:
+def _read_ini(path: str | Path, sections: tuple[str, ...]) -> configparser.ConfigParser:
+    """The parsed INI file, whose sections must all be among ``sections``."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     found = cfg.read(path)
     if not found:
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in cfg.sections():
+        if section not in sections:
+            raise ValueError(f"[{section}]: unknown section; use {', '.join(sections)}")
     return cfg
 
 
 def parse_experiment_config(path: str | Path) -> ExperimentConfig:
-    cfg = _read_ini(path)
+    return _experiment_config(_read_ini(path, EXPERIMENT_SECTIONS))
+
+
+def _experiment_config(cfg: configparser.ConfigParser) -> ExperimentConfig:
     source = cfg.get("dataset", "source", fallback="synthetic")
     if source not in DATASET_KEYS:
         raise ValueError(f"unknown dataset source {source!r}")
@@ -516,8 +528,8 @@ SWEEP_KEYS = (IniKey("sweep", "max_cells", ("max_cells",), int),) + tuple(
 
 
 def run_sweep(config_path: str | Path) -> int:
-    cfg = _read_ini(config_path)
-    exp = parse_experiment_config(config_path)
+    cfg = _read_ini(config_path, EXPERIMENT_SECTIONS)
+    exp = _experiment_config(cfg)
     if not cfg.has_section("sweep"):
         raise ValueError("sweep command requires a [sweep] section")
     axes = _read_keys(cfg, SWEEP_KEYS)
@@ -562,8 +574,8 @@ def run_sweep(config_path: str | Path) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = _read_ini(args.spec)
-    spec = _with(GENERATE_DEFAULTS, _read_keys(cfg, GENERATE_KEYS))
+    cfg = _read_ini(args.spec, GENERATE_SECTIONS)
+    spec = _with(GENERATE_DEFAULTS, _read_keys(cfg, GENERATE_KEYS, also=[("output", "dir")]))
     out_dir = Path(
         os.environ.get(OUTPUT_DIR_ENV, cfg.get("output", "dir", fallback="dataset"))
     )

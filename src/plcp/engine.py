@@ -10,7 +10,9 @@ Test predictions come from the partner of the final iteration.
 What depends only on the train features (the Gaussian bandwidth, each
 ridge system and the PL-KNN neighbour table) is taken from the train
 set's memo, so the base-alone run and every coupled run on the same
-dataset object build each of them once.
+dataset object build each of them once. Both runs take the base's
+outputs from :func:`base.fit_predict_base`, whose one fit answers the
+train rows and, when asked, the test rows.
 
 A run keeps one n_train x n_train float64 array per ridge system (the
 factor) and one block of test rows of the test-by-train kernel matrix;
@@ -170,11 +172,19 @@ def _ridge_systems(
     return [systems[spec] for spec in specs]
 
 
-def _neighbours(dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind) -> np.ndarray:
-    """PL-KNN's fit-path neighbour table, searched once per dataset and k."""
-    return dataset.derived(
-        ("neighbours", kind.k_neighbors), lambda: base_mod.prepare(kind, dataset)
-    )
+def _prepare_base(
+    dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind, *specs: kernel.KernelSpec
+) -> tuple[base_mod.BaseClassifierKind, np.ndarray | kernel.RidgeSystem, list]:
+    """``kind`` with its bandwidth pinned, the kNN table (one per k) or ridge
+    system its fits share, and the ridge systems of ``specs``, from the memo."""
+    if kind.kind == "pl-knn":
+        table = dataset.derived(
+            ("neighbours", kind.k_neighbors), lambda: base_mod.prepare(kind, dataset)
+        )
+        return kind, table, _ridge_systems(dataset, *specs)
+    kind = replace(kind, kernel=_pin_sigma(dataset, kind.kernel))
+    *systems, prepared = _ridge_systems(dataset, *specs, kind.kernel)
+    return kind, prepared, systems
 
 
 def _physical_memory() -> int:
@@ -235,13 +245,7 @@ def run_plcp(
 
     # shared by every round, and with other runs on this dataset: the
     # partner's ridge system, and the base's kNN table or ridge system
-    base_kind = config.base
-    if base_kind.kind == "pl-knn":
-        (system,) = _ridge_systems(dataset, partner_spec)
-        base_prepared = _neighbours(dataset, base_kind)
-    else:
-        base_kind = replace(base_kind, kernel=_pin_sigma(dataset, base_kind.kernel))
-        system, base_prepared = _ridge_systems(dataset, partner_spec, base_kind.kernel)
+    base_kind, base_prepared, (system,) = _prepare_base(dataset, config.base, partner_spec)
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
@@ -251,7 +255,7 @@ def run_plcp(
 
     for _ in range(config.max_iter):
         supervision = _base_supervision(state, base_kind.binarize, y)
-        m = base_mod.fit_predict_base(base_kind, dataset, supervision, base_prepared)
+        m, _ = base_mod.fit_predict_base(base_kind, dataset, supervision, base_prepared)
         p_new = update_labeling_confidence(state.p, m, y, config.alpha)
         o_new = blur.blur_labeling(p_new, y, config.k)
 
@@ -275,8 +279,8 @@ def run_plcp(
         raise InvariantViolation("the loop ran no round")
     if config.predict_from_base:
         supervision = _base_supervision(state, base_kind.binarize, y)
-        m_test = base_mod.query_outputs(
-            base_kind, dataset, supervision, test_features, base_prepared
+        _, m_test = base_mod.fit_predict_base(
+            base_kind, dataset, supervision, base_prepared, test_features
         )
         test_predictions = np.argmax(m_test, axis=1)
     else:
@@ -301,23 +305,15 @@ def run_base_alone(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference run of the base classifier without any partner feedback.
 
-    Trains once on the uniform initial confidences and returns the
-    (train, test) label vectors. Train labels take the argmax over the
-    candidate set; unseen test samples have no candidate mask.
+    Trains once on the uniform initial confidences, a fit that answers the
+    train and the test rows, and returns the (train, test) label vectors.
+    Train labels take the argmax over the candidate set; unseen test
+    samples have no candidate mask.
     """
-    x = dataset.features
     test_features = _as_test_matrix(dataset, test_features)
     n_systems = 1 if kind.kind == "kernel-ls" else 0
-    _check_memory(len(x), len(test_features), dataset.label_count, n_systems)
+    _check_memory(dataset.n_samples, len(test_features), dataset.label_count, n_systems)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
-    if kind.kind == "pl-knn":
-        m_train = base_mod.fit_predict_base(kind, dataset, p0, _neighbours(dataset, kind))
-        m_test = base_mod.query_outputs(kind, dataset, p0, test_features)
-    else:
-        kind = replace(kind, kernel=_pin_sigma(dataset, kind.kernel))
-        # one solve serves the train and the test rows
-        (system,) = _ridge_systems(dataset, kind.kernel)
-        solve = kernel.kkt_solve(system, p0)
-        m_train = kernel.training_output(solve)
-        m_test = kernel.predict_query(solve, test_features, x, kind.kernel)
+    kind, prepared, _ = _prepare_base(dataset, kind)
+    m_train, m_test = base_mod.fit_predict_base(kind, dataset, p0, prepared, test_features)
     return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from plcp import kernel
 from plcp.base import (
     BaseClassifierKind,
     _block_rows,
     binarize_supervision,
     fit_predict_base,
     neighbour_table,
-    query_outputs,
+    prepare,
 )
 from plcp.core import PartialLabelDataset
 from plcp.kernel import KernelSpec
@@ -23,20 +24,21 @@ class TestPlKnn:
         ds = dataset_from([[0.0, 0.0], [0.0, 0.0]], [[1, 1], [1, 1]])
         supervision = np.array([[0.9, 0.1], [0.2, 0.8]])
         kind = BaseClassifierKind(kind="pl-knn", k_neighbors=1)
-        m = fit_predict_base(kind, ds, supervision)
+        m, query_output = fit_predict_base(kind, ds, supervision)
+        assert query_output is None
         np.testing.assert_allclose(m[0], supervision[1])
         np.testing.assert_allclose(m[1], supervision[0])
 
     def test_uniform_supervision_masked_uniform(self):
         ds = dataset_from([[0.0], [1.0], [2.0]], [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         supervision = np.full((3, 3), 1.0 / 3.0)
-        m = fit_predict_base(BaseClassifierKind(k_neighbors=2), ds, supervision)
+        m, _ = fit_predict_base(BaseClassifierKind(k_neighbors=2), ds, supervision)
         np.testing.assert_allclose(m, ds.candidates / 3.0)
 
     def test_distance_tie_prefers_lower_index(self):
         ds = dataset_from([[0.0], [1.0], [2.0]], [[1, 1], [1, 1], [1, 1]])
         supervision = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        m = fit_predict_base(BaseClassifierKind(k_neighbors=1), ds, supervision)
+        m, _ = fit_predict_base(BaseClassifierKind(k_neighbors=1), ds, supervision)
         # sample 1 is equidistant from 0 and 2; index 0 wins
         np.testing.assert_allclose(m[1], supervision[0])
 
@@ -47,8 +49,8 @@ class TestPlKnn:
         candidates[np.arange(20), rng.integers(4, size=20)] = 1.0
         ds = PartialLabelDataset(features, candidates)
         supervision = candidates / candidates.sum(axis=1, keepdims=True)
-        out = query_outputs(
-            BaseClassifierKind(k_neighbors=5), ds, supervision, rng.normal(size=(7, 3))
+        _, out = fit_predict_base(
+            BaseClassifierKind(k_neighbors=5), ds, supervision, query=rng.normal(size=(7, 3))
         )
         assert (out >= 0.0).all() and (out <= 1.0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
@@ -57,12 +59,22 @@ class TestPlKnn:
         ds = dataset_from([[0.0], [1.0]], [[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="k_neighbors"):
             fit_predict_base(BaseClassifierKind(k_neighbors=2), ds, ds.candidates)
-        # query rows are not training samples: all n of them may be neighbours
+        # the train rows, each without itself, bound k for the query rows too
         query = np.array([[0.2], [0.9], [5.0]])
-        out = query_outputs(BaseClassifierKind(k_neighbors=2), ds, ds.candidates, query)
-        np.testing.assert_allclose(out, 0.5)
-        with pytest.raises(ValueError, match="k_neighbors=3 .* count 2"):
-            query_outputs(BaseClassifierKind(k_neighbors=3), ds, ds.candidates, query)
+        for k in (2, 3):
+            with pytest.raises(ValueError, match=f"k_neighbors={k} .* count 2"):
+                fit_predict_base(BaseClassifierKind(k_neighbors=k), ds, ds.candidates, query=query)
+
+    def test_query_rows_equal_the_query_neighbour_mean(self):
+        rng = np.random.default_rng(6)
+        ds = PartialLabelDataset(grid_points(rng, 60), np.ones((60, 4)))
+        supervision = rng.random((60, 4))
+        kind = BaseClassifierKind(k_neighbors=7)
+        query = grid_points(rng, 25)
+        m, out = fit_predict_base(kind, ds, supervision, prepare(kind, ds), query)
+        np.testing.assert_array_equal(m, fit_predict_base(kind, ds, supervision)[0])
+        table = stable_argsort_table(query, ds.features, 7)
+        np.testing.assert_array_equal(out, supervision[table].mean(axis=1))
 
 
 def grid_points(rng, rows):
@@ -121,7 +133,7 @@ class TestKernelLs:
         kind = BaseClassifierKind(
             kind="kernel-ls", kernel=KernelSpec(kind="gaussian", ridge=1e-8)
         )
-        m = fit_predict_base(kind, ds, candidates)
+        m, _ = fit_predict_base(kind, ds, candidates)
         np.testing.assert_allclose(m, candidates, atol=1e-4)
 
     def test_matches_shared_solver(self):
@@ -134,7 +146,7 @@ class TestKernelLs:
         supervision = rng.random((12, 3))
         spec = KernelSpec(sigma=1.5, ridge=0.05)
         kind = BaseClassifierKind(kind="kernel-ls", kernel=spec)
-        m = fit_predict_base(kind, ds, supervision)
+        m, _ = fit_predict_base(kind, ds, supervision)
         expected = training_output(
             kkt_solve(gram_matrix(features, spec), supervision, 0.05)
         )
@@ -144,8 +156,25 @@ class TestKernelLs:
         rng = np.random.default_rng(12)
         ds = PartialLabelDataset(rng.normal(size=(8, 2)), np.ones((8, 3)))
         kind = BaseClassifierKind(kind="kernel-ls", kernel=KernelSpec(sigma=1.0))
-        out = query_outputs(kind, ds, np.ones((8, 3)) / 3.0, rng.normal(size=(5, 2)))
-        assert out.shape == (5, 3)
+        m, out = fit_predict_base(
+            kind, ds, np.ones((8, 3)) / 3.0, query=rng.normal(size=(5, 2))
+        )
+        assert m.shape == (8, 3) and out.shape == (5, 3)
+
+    def test_query_rows_equal_the_unblocked_product(self):
+        # l=30 at 200 train rows splits 1000 query rows into several blocks
+        rng = np.random.default_rng(14)
+        ds = PartialLabelDataset(rng.normal(size=(200, 3)), np.ones((200, 30)))
+        query = rng.normal(size=(1000, 3))
+        assert len(kernel.query_blocks(1000, 200, 30)) > 1
+        supervision = rng.random((200, 30))
+        kind = BaseClassifierKind(kind="kernel-ls")
+        m, out = fit_predict_base(kind, ds, supervision, query=query)
+        solve = kernel.kkt_solve(kernel.ridge_system(ds.features, kind.kernel), supervision)
+        np.testing.assert_array_equal(m, solve.fitted)
+        np.testing.assert_array_equal(
+            out, kernel.predict(solve, kernel.cross_matrix(query, ds.features, kind.kernel))
+        )
 
 
 class TestBinarize:

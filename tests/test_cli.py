@@ -855,6 +855,38 @@ class TestIniTypos:
         )
         assert exp.synthetic is not None
 
+    def test_unknown_section_rejected_before_any_run(self, tmp_path):
+        out_dir = tmp_path / "out"
+        config = RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=out_dir, emit="false")
+        cfg = write(tmp_path / "a.ini", config + "[partnr]\ngamma = 5\n")
+        with pytest.raises(ValueError, match=r"\[partnr\]: unknown section"):
+            main(["run", cfg])
+        assert not out_dir.exists()
+
+    def test_unknown_section_beside_sweep_rejected_before_any_cell(self, tmp_path):
+        out_dir = tmp_path / "out"
+        config = RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=out_dir, emit="false")
+        cfg = write(
+            tmp_path / "a.ini", config + "[sweep]\ngamma = 0,2\n[sweeep]\nalpha = 0.3\n"
+        )
+        with pytest.raises(ValueError, match=r"\[sweeep\]: unknown section"):
+            main(["sweep", cfg])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[output]\ndri = x\n", r"\[output\] dri: unknown key"),
+         ("[synthetc]\nn = 20\n", r"\[synthetc\]: unknown section")],
+        ids=["output-key", "section"],
+    )
+    def test_generate_typo_rejected_before_writing(self, tmp_path, monkeypatch, text, message):
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        spec = write(tmp_path / "spec.ini", "[synthetic]\nn = 20\n" + text)
+        with pytest.raises(ValueError, match=message):
+            main(["generate", spec])
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.ini"]
+
     def test_generate_output_dir_stays_valid(self, tmp_path):
         spec = write(tmp_path / "spec.ini", GEN_SPEC.format(flip_q=0.3, out_dir=tmp_path / "d"))
         assert main(["generate", spec]) == 0

@@ -249,11 +249,12 @@ def test_run_base_alone_uses_candidate_mask():
 def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test):
     grams = count_calls(monkeypatch, kernel, "gram_matrix")
     factors = count_calls(monkeypatch, kernel, "cho_factor")
+    solves = count_calls(monkeypatch, kernel, "kkt_solve")
     ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.3, seed=5))
     train_labels, test_labels = run_base_alone(
         ds, ds.features[:n_test], BaseClassifierKind(kind="kernel-ls")
     )
-    assert (len(grams), len(factors)) == (1, 1)
+    assert (len(grams), len(factors), len(solves)) == (1, 1, 1)
     assert train_labels.shape == (40,) and test_labels.shape == (n_test,)
 
 
