@@ -474,6 +474,24 @@ def _run_cells(
     return tuple(list(itertools.chain.from_iterable(lists)) for lists in zip(*out))
 
 
+def _write_provenance(
+    exp: ExperimentConfig, failures: list, what: str, sweep: dict | None = None
+) -> int:
+    """Write ``resolved_config.ini`` (with the ``[sweep]`` axes of a sweep)
+    and, for failed runs, ``failures.csv``; return the exit code."""
+    resolved = _resolved_ini(exp)
+    if sweep is not None:
+        resolved["sweep"] = sweep
+    with open(exp.outputs / "resolved_config.ini", "w") as fh:
+        resolved.write(fh)
+    if not failures:
+        return 0
+    fields = tuple(sweep or ()) + ("seed", "error")
+    write_csv(exp.outputs / "failures.csv", fields, failures)
+    print(f"{len(failures)} {what} failed; see failures.csv", file=sys.stderr)
+    return 1
+
+
 def run_experiment(exp: ExperimentConfig) -> int:
     """Run all seeds, write results/summary/trajectories, return exit code."""
     exp.outputs.mkdir(parents=True, exist_ok=True)
@@ -483,14 +501,7 @@ def run_experiment(exp: ExperimentConfig) -> int:
     write_csv(exp.outputs / "summary.csv", SUMMARY_FIELDS, summarize(rows))
     if exp.emit_trajectories:
         write_csv(exp.outputs / "trajectories.csv", TRAJECTORY_FIELDS, trajectory_rows)
-    with open(exp.outputs / "resolved_config.ini", "w") as fh:
-        _resolved_ini(exp).write(fh)
-    if failures:
-        write_csv(exp.outputs / "failures.csv", ("seed", "error"), failures)
-        print(f"{len(failures)} of {len(exp.seeds)} seeds failed; see failures.csv",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _write_provenance(exp, failures, f"of {len(exp.seeds)} seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +569,8 @@ def run_sweep(config_path: str | Path) -> int:
     rows, _, failures = _run_cells(cells, exp.seeds)
 
     write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
-    with open(exp.outputs / "resolved_config.ini", "w") as fh:
-        out = _resolved_ini(exp)
-        out["sweep"] = {axis: cfg.get("sweep", axis) for axis in axes}
-        out.write(fh)
-    if failures:
-        write_csv(exp.outputs / "failures.csv", tuple(axes) + ("seed", "error"), failures)
-        print(f"{len(failures)} sweep runs failed; see failures.csv", file=sys.stderr)
-        return 1
-    return 0
+    sweep = {axis: cfg.get("sweep", axis) for axis in axes}
+    return _write_provenance(exp, failures, "sweep runs", sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +587,6 @@ def cmd_generate(args) -> int:
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
-
-
-def cmd_run(args) -> int:
-    return run_experiment(parse_experiment_config(args.config))
-
-
-def cmd_sweep(args) -> int:
-    return run_sweep(args.config)
 
 
 def cmd_inspect(args) -> int:
@@ -617,11 +613,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="paired base vs base-plcp runs over seeds")
     p.add_argument("config", help="experiment INI file")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=lambda args: run_experiment(parse_experiment_config(args.config)))
 
     p = sub.add_parser("sweep", help="grid sweep over hyper-parameters")
     p.add_argument("config", help="experiment INI file with a [sweep] section")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=lambda args: run_sweep(args.config))
 
     p = sub.add_parser("inspect", help="print dataset statistics")
     p.add_argument("features")

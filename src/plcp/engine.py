@@ -14,9 +14,10 @@ dataset object build each of them once. Both runs take the base's
 outputs from :func:`base.fit_predict_base`, whose one fit answers the
 train rows and, when asked, the test rows.
 
-A run keeps one n_train x n_train float64 array per ridge system (the
-factor) and one block of test rows of the test-by-train kernel matrix;
-before any work it checks that these fit in physical memory.
+A run keeps one packed triangle of n_train(n_train+1)/2 float64 entries
+per ridge system (the factor) and one block of test rows of the
+test-by-train kernel matrix; before any work it checks that these fit in
+physical memory.
 """
 
 from __future__ import annotations
@@ -195,21 +196,22 @@ def _physical_memory() -> int:
 def _check_memory(n_train: int, n_test: int, n_labels: int, n_systems: int) -> None:
     """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
 
-    The estimate counts what grows with n_train squared: one factor per
-    ridge system and the largest block of test rows of the kernel matrix.
-    It is raised before any sigma, gram or neighbour work starts.
+    The estimate counts what grows with n_train squared: one packed factor
+    of n_train(n_train+1)/2 entries per ridge system and the largest block
+    of test rows of the kernel matrix. It is raised before any sigma, gram
+    or neighbour work starts.
     """
     block_rows = max(
         rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
     )
-    estimate = 8 * n_train * (n_systems * n_train + block_rows)
+    estimate = 8 * (n_systems * n_train * (n_train + 1) // 2 + n_train * block_rows)
     memory = _physical_memory()
     if estimate > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
             f"about {estimate / 2**20:.0f} MiB for {n_systems} ridge system(s) of "
-            f"{n_train}x{n_train} and one block of test rows, but physical memory "
-            f"is {memory / 2**20:.0f} MiB"
+            f"{n_train}x{n_train}, each a packed triangle, and one block of test "
+            f"rows, but physical memory is {memory / 2**20:.0f} MiB"
         )
 
 

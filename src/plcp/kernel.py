@@ -16,12 +16,16 @@ so a Cholesky factorization is always applicable. ``B`` and ``s`` depend on
 the gram and the ridge only, so a :class:`RidgeSystem` factors them once
 per (gram, ridge) and every solve onto a new target ``C`` reuses that factor.
 
-The gram is the one n x n array a run needs: :func:`ridge_system` builds
-it with :func:`gram_matrix` in a single Fortran-order buffer and turns
-that buffer into ``B`` and then into its Cholesky factor without a copy.
-Only the one-off :func:`kkt_solve` on a given gram factors a copy. Query
-rows are predicted one block at a time (:func:`predict_query`), so no
-query-by-train kernel matrix is alive beside the factor.
+The factor is the one n x n object a run keeps, and it is kept in
+rectangular full packed (RFP) form: LAPACK's layout of one triangle in
+n(n+1)/2 doubles that its level-3 ``pftrf``/``pftrs`` factor and solve
+(Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010).
+:func:`packed_gram` fills that buffer with the gram's lower triangle, in
+blocks of rows for the Gaussian kernel, and :func:`ridge_system` turns it
+into ``B`` and then into its factor without a copy. The one-off
+:func:`kkt_solve` on a given gram packs a copy and takes the same path.
+Query rows are predicted one block at a time (:func:`predict_query`), so
+no query-by-train kernel matrix is alive beside the factor.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 from scipy.spatial.distance import cdist, pdist
 
 
@@ -60,12 +65,13 @@ class KernelSpec:
 class RidgeSystem:
     """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
 
-    Built by :func:`ridge_system`, whose factor lives in the gram's own
-    buffer. Every :func:`kkt_solve` on it reuses the factor and ``s_row``.
+    Built by :func:`ridge_system`, whose factor lives in the buffer
+    :func:`packed_gram` filled. Every :func:`kkt_solve` on it reuses the
+    factor and ``s_row``.
     """
 
     ridge: float
-    factor: tuple  # lower Cholesky factor of B, as cho_factor returns it
+    factor: np.ndarray  # (n(n+1)/2,) lower Cholesky factor of B, RFP with TRANSR='N'
     s_row: np.ndarray  # (n,) 1^T B^{-1}
 
 
@@ -107,16 +113,20 @@ def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Train-by-train kernel matrix, in Fortran order.
-
-    The matrix is built in one buffer, with no second n x n temporary, and
-    that buffer is the one :func:`ridge_system` overwrites with the factor.
-    It is symmetric, so writing its C-order transpose fills it.
-    """
+def _finite(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, float)
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or Inf")
+    return x
+
+
+def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Train-by-train kernel matrix, in Fortran order.
+
+    The matrix is built in one buffer, with no second n x n temporary. It is
+    symmetric, so writing its C-order transpose fills it.
+    """
+    x = _finite(x)
     if spec.kind == "linear":
         return (x @ x.T).T
     sigma = resolve_sigma(x, spec)
@@ -134,32 +144,85 @@ def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> 
     return _gaussian(cdist(x_query, x_train, "sqeuclidean"), sigma)
 
 
+# Kernel entries per block of rows that packed_gram computes at a time.
+_PACK_BLOCK = 1 << 17
+
+
+def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The lower triangle of ``gram_matrix(x, spec)``, bit for bit, in RFP
+    form (TRANSR='N', UPLO='L'): n(n+1)/2 doubles, the shape of
+    ``dtrttf``'s output.
+
+    Seen as a Fortran-order array with ``k = ceil(n/2)`` columns and
+    ``n + 1 - n % 2`` rows, column ``c`` holds the gram's lower column
+    ``K[c:, c]`` at its bottom and, above it, row ``c - n % 2`` of the
+    lower triangle of the trailing square ``K[k:, k:]``. The Gaussian gram
+    is written in blocks of rows of ``cdist``, whose entries are those of
+    the whole matrix, so no n x n temporary exists. A linear gram's block
+    products need not keep the bits of ``x @ x.T``, so it is packed from
+    the whole matrix.
+    """
+    if spec.kind == "linear":
+        return dtrttf(gram_matrix(x, spec), uplo="L")[0]
+    x = _finite(x)
+    sigma = resolve_sigma(x, spec)
+    n = x.shape[0]
+    k, even = (n + 1) // 2, 1 - n % 2
+    packed = np.empty(n * (n + 1) // 2)
+    columns = packed.reshape(k, n + even)  # row c is the RFP array's column c
+    step = max(1, _PACK_BLOCK // n)
+    # the whole square K[k:, k:] first: its upper half lands where the
+    # columns K[c:, c] go next, and those overwrite it
+    for a in range(k, n, step):
+        b = min(a + step, n)
+        rows = slice(a - k + 1 - even, b - k + 1 - even)
+        columns[rows, : n - k] = cdist(x[a:b], x[k:], "sqeuclidean")
+    for a in range(0, k, step):
+        b = min(a + step, k)
+        block = cdist(x[a:b], x[a:], "sqeuclidean")  # K[a:b, a:] = K[a:, a:b].T
+        target = columns[a:b, a + even :]
+        target[:, b - a :] = block[:, b - a :]
+        np.copyto(target[:, : b - a], block[:, : b - a], where=np.tri(b - a, dtype=bool).T)
+    return _gaussian(packed, sigma)
+
+
+def _packed_diagonal(n: int) -> np.ndarray:
+    """Indices of the diagonal of an n x n matrix in its RFP array: those of
+    ``K[c, c]``, then those of the trailing square's diagonal."""
+    k, rows = (n + 1) // 2, n + 1 - n % 2
+    lead, trail = np.arange(k), np.arange(n - k)
+    return np.concatenate([lead * (rows + 1) + 1 - n % 2, trail * (rows + 1) + n % 2 * rows])
+
+
 def ridge_system(x: np.ndarray, spec: KernelSpec) -> RidgeSystem:
     """Factor ``B = K/(2*ridge) + I/2`` of ``x``'s gram under ``spec`` once
-    for every solve on it, in the gram's own buffer."""
-    return _factor_in_place(gram_matrix(x, spec), spec.ridge)
+    for every solve on it, in the buffer of :func:`packed_gram`."""
+    return _factor(packed_gram(x, spec), spec.ridge)
 
 
-def _factor_in_place(gram: np.ndarray, ridge: float) -> RidgeSystem:
-    """Turn ``gram``, a writeable Fortran-order float64 array, into ``B``
-    and then into its factor.
+def _factor(packed: np.ndarray, ridge: float) -> RidgeSystem:
+    """Turn ``packed``, a packed gram, into ``B`` and then into its factor.
 
     Raises a ``RuntimeError`` that names the failing leading minor when the
     (theoretically SPD) system turns out not positive definite, which
     indicates a broken kernel matrix.
     """
-    n = gram.shape[0]
-    gram /= 2.0 * ridge
-    gram[np.diag_indices(n)] += 0.5
-    try:
-        factor = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
+    n = math.isqrt(2 * packed.shape[0])
+    packed /= 2.0 * ridge
+    packed[_packed_diagonal(n)] += 0.5
+    factor, info = dpftrf(n, packed, uplo="L", overwrite_a=1)
+    if info:
+        exc = LinAlgError(f"{info}-th leading minor of the array is not positive definite")
         raise RuntimeError(
             f"singular {n}x{n} ridge system at ridge {ridge}: {exc}; "
             "check the kernel matrix for non-PSD structure"
         ) from exc
-    s_row = cho_solve(factor, np.ones(n), check_finite=False)
-    return RidgeSystem(ridge=ridge, factor=factor, s_row=s_row)
+    return RidgeSystem(ridge=ridge, factor=factor, s_row=_solve(factor, np.ones(n)))
+
+
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``B^{-1} rhs`` from the RFP factor of ``B``."""
+    return dpftrs(rhs.shape[0], factor, rhs, uplo="L")[0]
 
 
 def kkt_solve(
@@ -167,20 +230,20 @@ def kkt_solve(
 ) -> KernelSolve:
     """Closed-form dual ridge solve onto ``target``.
 
-    ``system`` is a prebuilt :class:`RidgeSystem`, or a kernel matrix that
-    is factored with ``ridge`` for this one solve, in a copy.
+    ``system`` is a prebuilt :class:`RidgeSystem`, or a kernel matrix whose
+    lower triangle is packed and factored with ``ridge`` for this one solve.
     """
     if not isinstance(system, RidgeSystem):
         if ridge is None:
             raise ValueError("a kernel matrix needs its ridge")
         if not (math.isfinite(ridge) and ridge > 0):
             raise ValueError(f"ridge must be positive and finite, got {ridge}")
-        gram = np.array(system, float, order="F")
+        gram = np.asarray(system, float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("kernel matrix must be square")
         if not np.isfinite(gram).all():
             raise ValueError("kernel matrix contains NaN or Inf")
-        system = _factor_in_place(gram, ridge)
+        system = _factor(dtrttf(gram, uplo="L")[0], ridge)
     elif ridge is not None:
         raise ValueError("a prebuilt ridge system carries its own ridge")
     target = np.asarray(target, float)
@@ -191,7 +254,7 @@ def kkt_solve(
         )
     s_row = system.s_row
     bias = (s_row @ target) / s_row.sum()
-    dual = cho_solve(system.factor, target - bias, check_finite=False)
+    dual = _solve(system.factor, target - bias)
     return KernelSolve(
         dual_coeffs=dual, bias=bias, ridge=system.ridge, fitted=target - 0.5 * dual
     )

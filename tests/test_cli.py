@@ -581,8 +581,8 @@ class TestSharedDerivedState:
     """Each train set's sigma, ridge factors and kNN table are built once."""
 
     def test_kernel_ls_seed_builds_one_sigma_gram_and_factor(self, tmp_path, monkeypatch):
-        grams = record_calls(monkeypatch, kernel, "gram_matrix")
-        factors = record_calls(monkeypatch, kernel, "cho_factor")
+        grams = record_calls(monkeypatch, kernel, "packed_gram")
+        factors = record_calls(monkeypatch, kernel, "dpftrf")
         pdists = record_calls(monkeypatch, kernel, "pdist")
         cli.run_seed(experiment(tmp_path, "kernel-ls"), 1)
         # the bandwidth's pdist takes the default metric, the gram's sqeuclidean
@@ -596,8 +596,8 @@ class TestSharedDerivedState:
         assert (len(fit_path_tables(tables)), len(tables)) == (1, 2)
 
     def test_sweep_builds_once_per_seed(self, tmp_path, monkeypatch):
-        grams = record_calls(monkeypatch, kernel, "gram_matrix")
-        factors = record_calls(monkeypatch, kernel, "cho_factor")
+        grams = record_calls(monkeypatch, kernel, "packed_gram")
+        factors = record_calls(monkeypatch, kernel, "dpftrf")
         tables = record_calls(monkeypatch, base, "neighbour_table")
         cfg = write(
             tmp_path / "sweep.ini",
@@ -608,7 +608,7 @@ class TestSharedDerivedState:
         assert (len(grams), len(factors), len(fit_path_tables(tables))) == (2, 2, 2)
 
     def test_lambda_sweep_builds_once_per_seed_and_ridge(self, tmp_path, monkeypatch):
-        grams = record_calls(monkeypatch, kernel, "gram_matrix")
+        grams = record_calls(monkeypatch, kernel, "packed_gram")
         systems = record_calls(monkeypatch, kernel, "ridge_system")
         cfg = write(
             tmp_path / "sweep.ini",

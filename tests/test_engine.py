@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,13 +149,13 @@ class TestRunPlcp:
         # a lambda sweep cell: the partner's ridge differs from the base's,
         # and each ridge system is factored in the buffer of its own gram
         calls = []
-        original = kernel.gram_matrix
+        original = kernel.packed_gram
 
         def counting(x, spec):
             calls.append(spec)
             return original(x, spec)
 
-        monkeypatch.setattr(kernel, "gram_matrix", counting)
+        monkeypatch.setattr(kernel, "packed_gram", counting)
         config = EngineConfig(
             base=BaseClassifierKind(kind="kernel-ls"),
             partner=PartnerConfig(kernel=KernelSpec(ridge=0.2)),
@@ -171,7 +175,7 @@ class TestRunPlcp:
         ],
     )
     def test_factors_once_per_ridge(self, monkeypatch, base, partner_ridge, factors):
-        calls = count_calls(monkeypatch, kernel, "cho_factor")
+        calls = count_calls(monkeypatch, kernel, "dpftrf")
         config = EngineConfig(
             base=BaseClassifierKind(kind=base),
             partner=PartnerConfig(kernel=KernelSpec(ridge=partner_ridge)),
@@ -247,8 +251,8 @@ def test_run_base_alone_uses_candidate_mask():
 
 @pytest.mark.parametrize("n_test", [0, 7])
 def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test):
-    grams = count_calls(monkeypatch, kernel, "gram_matrix")
-    factors = count_calls(monkeypatch, kernel, "cho_factor")
+    grams = count_calls(monkeypatch, kernel, "packed_gram")
+    factors = count_calls(monkeypatch, kernel, "dpftrf")
     solves = count_calls(monkeypatch, kernel, "kkt_solve")
     ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.3, seed=5))
     train_labels, test_labels = run_base_alone(
@@ -260,9 +264,10 @@ def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test
 
 @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
 def test_one_n_by_n_array_per_run(base):
-    # the gram's buffer becomes the factor, and the test rows meet the
-    # train rows one block at a time: a gram beside its factor, or the
-    # whole test-by-train matrix beside it, would each reach 2x
+    # the packed gram's buffer becomes the factor, half an n x n array, and
+    # the test rows meet the train rows one block at a time: a square factor
+    # alone would reach 1x, a gram beside it or the whole test-by-train
+    # matrix beside it 1.5x
     ds = generate_synthetic(SyntheticSpec(n=4000, d=8, l=5, flip_q=0.5, seed=3))
     train, test = split(ds, 0.5, seed=4)
     config = EngineConfig(base=BaseClassifierKind(kind=base), max_iter=2)
@@ -272,7 +277,7 @@ def test_one_n_by_n_array_per_run(base):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.35 * train.n_samples**2 * 8
+    assert peak <= 0.8 * train.n_samples**2 * 8
 
 
 def test_blocked_test_prediction_equals_one_cross_matrix():
@@ -293,7 +298,7 @@ class TestMemoryCheck:
     @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
     def test_run_too_large_for_memory_fails_before_any_work(self, monkeypatch, base):
         monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
-        grams = count_calls(monkeypatch, kernel, "gram_matrix")
+        grams = count_calls(monkeypatch, kernel, "packed_gram")
         sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
         ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
         kind = BaseClassifierKind(kind=base)
@@ -305,8 +310,9 @@ class TestMemoryCheck:
         assert grams == [] and sigmas == []
 
     def test_estimate_counts_one_factor_per_ridge_system(self, monkeypatch):
-        # 800^2 * 8 bytes is 4.9 MiB: one factor fits in 8 MiB, two do not
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 8 << 20)
+        # 800 * 801 / 2 * 8 bytes is 2.4 MiB: one factor fits in 4 MiB, two
+        # do not
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
         ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
         kind = BaseClassifierKind(kind="kernel-ls")
         run_plcp(ds, ds.features[:7], EngineConfig(base=kind, max_iter=1))
@@ -315,3 +321,46 @@ class TestMemoryCheck:
         )
         with pytest.raises(MemoryError, match="2 ridge system"):
             run_plcp(ds, ds.features[:7], lambda_cell)
+
+
+# one small run per base, at an odd and an even n_train (301 and 302 rows),
+# printing a digest of the train and test labels of each
+LABEL_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from plcp.base import BaseClassifierKind
+from plcp.data import SyntheticSpec, generate_synthetic, split
+from plcp.engine import EngineConfig, run_plcp
+
+for base, n in (("pl-knn", 602), ("kernel-ls", 604)):
+    ds = generate_synthetic(SyntheticSpec(n=n, d=8, l=5, flip_q=0.5, seed=41))
+    train, test = split(ds, 0.5, seed=42)
+    config = EngineConfig(base=BaseClassifierKind(kind=base), max_iter=2)
+    report = run_plcp(train, test.features, config)
+    labels = np.concatenate([report.train_predictions, report.test_predictions])
+    print(base, train.n_samples, hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest())
+"""
+
+
+def test_labels_identical_across_blas_thread_counts():
+    # floats may differ in their last bits between thread counts; labels may not
+    src = str(Path(engine.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", LABEL_DIGEST_SCRIPT],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    try:
+        results = [run.communicate(timeout=120) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    for run, (_, err) in zip(runs, results):
+        assert run.returncode == 0, err
+    outputs = [out.split("\n") for out, _ in results]
+    assert outputs[0] == outputs[1]
+    sizes = [line.split()[:2] for line in outputs[0][:2]]
+    assert sizes == [["pl-knn", "301"], ["kernel-ls", "302"]]

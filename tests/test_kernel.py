@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtfttr, dtrttf
 from scipy.spatial.distance import pdist, squareform
 
 from plcp import kernel
@@ -13,6 +15,7 @@ from plcp.kernel import (
     cross_matrix,
     gram_matrix,
     kkt_solve,
+    packed_gram,
     predict,
     predict_query,
     query_blocks,
@@ -154,6 +157,14 @@ class TestKktSolve:
             kkt_solve(bad, np.zeros((3, 2)), 0.05)
         assert isinstance(info.value.__cause__, LinAlgError)
 
+    @pytest.mark.parametrize("n, minor", [(4, 3), (5, 5), (6, 1)])
+    def test_non_psd_gram_of_either_packed_layout_names_the_failing_minor(self, n, minor):
+        # even and odd orders keep their diagonals in different RFP slots
+        bad = np.eye(n)
+        bad[minor - 1, minor - 1] = -5.0
+        with pytest.raises(RuntimeError, match=f"{n}x{n} ridge system.* {minor}-th leading"):
+            kkt_solve(bad, np.zeros((n, 2)), 0.05)
+
 
 class TestPredict:
     def test_training_rows_consistent(self):
@@ -267,6 +278,44 @@ class TestKernelSpec:
             KernelSpec(ridge=value)
         with pytest.raises(ValueError, match="ridge must be positive and finite"):
             kkt_solve(np.eye(2), np.eye(2), value)
+
+
+class TestPackedGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 51, 301])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_bit_equal_to_packed_full_gram(self, n, kind):
+        # block products x[a:b] @ x[:k].T do not keep the bits of x @ x.T at
+        # n=301, d=3, so the linear kind is packed from the whole product
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        spec = KernelSpec(kind=kind, sigma=None if n > 1 else 1.0)
+        expected, info = dtrttf(gram_matrix(x, spec), transr="N", uplo="L")
+        assert info == 0
+        np.testing.assert_array_equal(packed_gram(x, spec), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 51])
+    def test_factor_is_the_cholesky_factor_of_b(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        spec = KernelSpec(sigma=1.5, ridge=0.1)
+        system = ridge_system(x, spec)
+        lower, info = dtfttr(n, system.factor, transr="N", uplo="L")
+        assert info == 0
+        b = gram_matrix(x, spec) / (2.0 * spec.ridge) + 0.5 * np.eye(n)
+        np.testing.assert_allclose(np.tril(lower), np.linalg.cholesky(b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(system.s_row, np.linalg.solve(b, np.ones(n)), atol=1e-10)
+
+    def test_system_keeps_half_of_an_n_by_n_array(self):
+        # one packed triangle of 2000 * 2001 / 2 doubles is 16.0 MB; a square
+        # gram or factor alone would be 32.0 MB
+        x = np.random.default_rng(4).normal(size=(2000, 8))
+        spec = KernelSpec(sigma=3.0)
+        tracemalloc.start()
+        try:
+            system = ridge_system(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.factor.nbytes == 8 * 2000 * 2001 // 2
+        assert peak < 20e6
 
 
 class TestRidgeSystem:
