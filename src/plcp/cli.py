@@ -302,21 +302,22 @@ def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
 # running
 
 
-def _split(exp: ExperimentConfig, seed: int):
-    dataset_seed, split_seed = derive_streams(seed)
-    if exp.synthetic is not None:
-        dataset = generate_synthetic(replace(exp.synthetic, seed=dataset_seed))
-    else:
-        dataset = load_dataset(exp.features_path, exp.candidates_path, exp.truth_path)
-    return split(dataset, exp.train_frac, split_seed)
+_SPLIT_FIELDS = ("synthetic", "features_path", "candidates_path", "truth_path", "train_frac")
 
 
 def _split_key(exp: ExperimentConfig, seed: int) -> tuple:
     """What the seed's split depends on: equal keys give equal splits."""
-    return (
-        seed, exp.synthetic, exp.features_path, exp.candidates_path, exp.truth_path,
-        exp.train_frac,
-    )
+    return (seed, *(getattr(exp, name) for name in _SPLIT_FIELDS))
+
+
+def _split(exp: ExperimentConfig, seed: int):
+    seed, synthetic, features, candidates, truth, train_frac = _split_key(exp, seed)
+    dataset_seed, split_seed = derive_streams(seed)
+    if synthetic is not None:
+        dataset = generate_synthetic(replace(synthetic, seed=dataset_seed))
+    else:
+        dataset = load_dataset(features, candidates, truth)
+    return split(dataset, train_frac, split_seed)
 
 
 def _timed(fn, *args):

@@ -16,8 +16,9 @@ train rows and, when asked, the test rows.
 
 A run keeps one packed triangle of n_train(n_train+1)/2 float64 entries
 per ridge system (the factor) and one block of test rows of the
-test-by-train kernel matrix; before any work it checks that these fit in
-physical memory.
+test-by-train kernel matrix; a linear kernel's factor is packed from a
+whole n_train x n_train gram. Before any work the run checks that these
+fit in physical memory.
 """
 
 from __future__ import annotations
@@ -193,25 +194,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(n_train: int, n_test: int, n_labels: int, n_systems: int) -> None:
+def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> None:
     """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
 
     The estimate counts what grows with n_train squared: one packed factor
-    of n_train(n_train+1)/2 entries per ridge system and the largest block
-    of test rows of the kernel matrix. It is raised before any sigma, gram
-    or neighbour work starts.
+    of n_train(n_train+1)/2 entries per ridge system of ``specs``, the whole
+    n_train x n_train gram a linear kernel's factor is packed from, and the
+    largest block of test rows of the kernel matrix. It is raised before any
+    sigma, gram or neighbour work starts.
     """
     block_rows = max(
         rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
     )
-    estimate = 8 * (n_systems * n_train * (n_train + 1) // 2 + n_train * block_rows)
+    linear = any(spec.kind == "linear" for spec in specs)
+    squares = len(specs) * n_train * (n_train + 1) // 2 + linear * n_train * n_train
+    estimate = 8 * (squares + n_train * block_rows)
     memory = _physical_memory()
     if estimate > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
-            f"about {estimate / 2**20:.0f} MiB for {n_systems} ridge system(s) of "
-            f"{n_train}x{n_train}, each a packed triangle, and one block of test "
-            f"rows, but physical memory is {memory / 2**20:.0f} MiB"
+            f"about {estimate / 2**20:.0f} MiB for {len(specs)} ridge system(s) of "
+            f"{n_train}x{n_train}, each a packed triangle, "
+            + ("the whole linear gram it is packed from, " if linear else "")
+            + f"and one block of test rows, but physical memory is {memory / 2**20:.0f} MiB"
         )
 
 
@@ -240,7 +245,7 @@ def run_plcp(
     kernel_specs = {config.partner.kernel}
     if config.base.kind == "kernel-ls":
         kernel_specs.add(config.base.kernel)
-    _check_memory(len(x), len(test_features), dataset.label_count, len(kernel_specs))
+    _check_memory(len(x), len(test_features), dataset.label_count, tuple(kernel_specs))
 
     partner_spec = _pin_sigma(dataset, config.partner.kernel)
     partner_cfg = replace(config.partner, kernel=partner_spec)
@@ -313,8 +318,8 @@ def run_base_alone(
     samples have no candidate mask.
     """
     test_features = _as_test_matrix(dataset, test_features)
-    n_systems = 1 if kind.kind == "kernel-ls" else 0
-    _check_memory(dataset.n_samples, len(test_features), dataset.label_count, n_systems)
+    specs = (kind.kernel,) if kind.kind == "kernel-ls" else ()
+    _check_memory(dataset.n_samples, len(test_features), dataset.label_count, specs)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
     kind, prepared, _ = _prepare_base(dataset, kind)
     m_train, m_test = base_mod.fit_predict_base(kind, dataset, p0, prepared, test_features)

@@ -322,6 +322,20 @@ class TestMemoryCheck:
         with pytest.raises(MemoryError, match="2 ridge system"):
             run_plcp(ds, ds.features[:7], lambda_cell)
 
+    def test_linear_system_counts_the_whole_gram_it_is_packed_from(self, monkeypatch):
+        # one packed factor of 800 rows is 2.4 MiB; a linear one is packed
+        # from a whole 4.9 MiB gram, so 4 MiB lies between the two estimates
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
+        ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
+        linear = EngineConfig(partner=PartnerConfig(kernel=KernelSpec(kind="linear")), max_iter=1)
+        grams = count_calls(monkeypatch, kernel, "packed_gram")
+        sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
+        with pytest.raises(MemoryError, match=r"7 MiB .*the whole linear gram"):
+            run_plcp(ds, ds.features[:7], linear)
+        assert grams == [] and sigmas == []
+        run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
+        assert len(grams) == 1
+
 
 # one small run per base, at an odd and an even n_train (301 and 302 rows),
 # printing a digest of the train and test labels of each

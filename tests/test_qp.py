@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcp.core import InvariantViolation
+from plcp.partner import labels_from_output
 from plcp.qp import (
+    MAX_BISECT,
+    NU_TOL,
     RowQpProblem,
     kkt_residual,
     solve_matrix,
@@ -55,6 +58,38 @@ def enumeration_oracle(g, lo, hi, target):
             best, best_obj = c, obj
     assert best is not None, "oracle found no KKT point"
     return best
+
+
+def row_major_bisection(g, lo, hi, target):
+    """Reference bisection on ``(n, l)`` rows, each row reduced on its own.
+
+    Same bracket, tolerance, midpoint and clip as the solver, with every
+    per-row reduction taken over a row's l labels in memory order.
+    """
+    def clip(nu):
+        return np.clip((-g - nu[:, None]) / 2.0, lo, hi)
+
+    nu_lo = (-g - 2.0 * hi).min(axis=1)
+    nu_hi = (-g - 2.0 * lo).max(axis=1)
+    for _ in range(MAX_BISECT):
+        if (nu_hi - nu_lo).max() <= NU_TOL:
+            break
+        mid = 0.5 * (nu_lo + nu_hi)
+        too_low = clip(mid).sum(axis=1) >= target
+        nu_lo = np.where(too_low, mid, nu_lo)
+        nu_hi = np.where(too_low, nu_hi, mid)
+    return clip(0.5 * (nu_lo + nu_hi))
+
+
+def random_rows(rng, n, l):
+    """Inputs of ``solve_matrix``: every row keeps a candidate, and about a
+    quarter of the rows keep exactly one."""
+    j, o = rng.normal(size=(n, l)), rng.random((n, l))
+    yhat = (rng.random((n, l)) < 0.4).astype(float)
+    keep = rng.integers(l, size=n)
+    yhat[rng.random(n) < 0.25] = 1.0
+    yhat[np.arange(n), keep] = 0.0
+    return j, o, yhat
 
 
 def random_problem(rng, l):
@@ -173,6 +208,19 @@ class TestSolveMatrix:
         j = np.array([[0.4, 0.8, 0.8], [0.2, 0.9, 0.9]])
         out = solve_matrix(j, np.zeros_like(j), np.zeros_like(j), gamma=0.0)
         np.testing.assert_allclose(out, j, atol=1e-9)
+
+    @pytest.mark.parametrize("l", [*range(1, 8), 8, 30])
+    def test_matches_row_major_bisection(self, l):
+        # below 8 labels a row-major row sum runs left to right, the order of
+        # the solver's label-major sum, so every bit agrees; from 8 labels it
+        # runs pairwise, and only the last bits may differ
+        j, o, yhat = random_rows(np.random.default_rng(100 + l), 300, l)
+        assert (yhat.sum(axis=1) == l - 1).any()
+        out = solve_matrix(j, o, yhat, gamma=2.0)
+        expected = row_major_bisection(2.0 * o - 2.0 * j, yhat, np.ones((300, l)), l - 1.0)
+        assert out.shape == (300, l) and out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=0.0 if l < 8 else 1e-12)
+        np.testing.assert_array_equal(labels_from_output(out), labels_from_output(expected))
 
     def test_zero_hot_limit(self):
         rng = np.random.default_rng(33)
