@@ -15,10 +15,10 @@ streams.
 cells; ``run`` is the sweep of its one configured cell. For each seed the
 loop builds each split once (only the ``flip_q`` axis gives a seed several
 splits) and runs that split's cells back to back. A train set keeps the
-sigma, ridge factors, kNN tables and base-alone run derived from it (see
-``PartialLabelDataset.derived``), so each is built once per split, and one
-split's at a time are alive. The output files list the rows cell-major, in
-grid order.
+sigma, ridge factors, kNN tables, gamma-0 partner fit and base-alone run
+derived from it (see ``PartialLabelDataset.derived``), so each is built
+once per split, and one split's at a time are alive. The output files
+list the rows cell-major, in grid order.
 
 Results CSV schema (one row per seed per method):
     method, seed, test_accuracy, transductive_accuracy,
@@ -27,8 +27,10 @@ Results CSV schema (one row per seed per method):
 ``wall_ms`` times the row's own call, so it leaves out the derived state
 an earlier call on the same train set already built: a ``-plcp`` row
 whose base-alone run, or an earlier sweep cell, built the ridge factor or
-kNN table it uses reads lower than one that builds them itself. Cells of
-one split and base config repeat the base row of their one base-alone run.
+kNN table it uses reads lower than one that builds them itself; a gamma-0
+``-plcp`` row leaves out the partner fit an earlier round or cell built.
+Cells of one split and base config repeat the base row of their one
+base-alone run.
 """
 
 from __future__ import annotations

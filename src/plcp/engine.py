@@ -8,8 +8,9 @@ for two consecutive iterations, and always within ``max_iter`` rounds.
 Test predictions come from the partner of the final iteration.
 
 What depends only on the train features (the Gaussian bandwidth, each
-ridge system and the PL-KNN neighbour table) is taken from the train
-set's memo, so the base-alone run and every coupled run on the same
+ridge system, the PL-KNN neighbour table and the partner fit at gamma 0,
+which never reads its supervision) is taken from the train set's memo,
+so the base-alone run and every coupled run and round on the same
 dataset object build each of them once. Both runs take the base's
 outputs from :func:`base.fit_predict_base`, whose one fit answers the
 train rows and, when asked, the test rows.
@@ -174,6 +175,18 @@ def _ridge_systems(
     return [systems[spec] for spec in specs]
 
 
+def _fit_partner(dataset: PartialLabelDataset, o, cfg, system) -> partner.PartnerModel:
+    """The partner fit on ``o``. At gamma 0 it never reads ``o``, so the memo
+    keeps one such fit, of the latest config, for every later round and run."""
+    if cfg.gamma != 0:
+        return partner.fit_partner(dataset, o, cfg, system)
+    fits = dataset.derived("gamma-0 partner", dict)
+    if cfg not in fits:
+        fits.clear()
+        fits[cfg] = partner.fit_partner(dataset, o, cfg, system)
+    return fits[cfg]
+
+
 def _prepare_base(
     dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind, *specs: kernel.KernelSpec
 ) -> tuple[base_mod.BaseClassifierKind, np.ndarray | kernel.RidgeSystem, list]:
@@ -266,7 +279,7 @@ def run_plcp(
         p_new = update_labeling_confidence(state.p, m, y, config.alpha)
         o_new = blur.blur_labeling(p_new, y, config.k)
 
-        partner_model = partner.fit_partner(dataset, o_new, partner_cfg, system)
+        partner_model = _fit_partner(dataset, o_new, partner_cfg, system)
         mhat = kernel.training_output(partner_model.solve)
         phat_new = update_noncandidate_confidence(state.phat, mhat, yhat, config.alpha)
         ohat_new = blur.blur_noncandidate(phat_new, y, config.k)

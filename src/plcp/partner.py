@@ -87,7 +87,8 @@ def fit_partner(
 
     ``system`` may carry the ridge system of the train gram under
     ``config.kernel``; it is never mutated and can be shared across
-    repeated fits on the same dataset.
+    repeated fits on the same dataset. The model's arrays are read-only,
+    so runs can share the model too.
     """
     o = np.asarray(o_supervision, float)
     if o.shape != dataset.candidates.shape:
@@ -118,7 +119,10 @@ def fit_partner(
         raise InvariantViolation("partner c left the [yhat, 1] box")
     if not np.abs(c.sum(axis=1) - (dataset.label_count - 1)).max() <= 1e-9:
         raise InvariantViolation("partner c rows must sum to l - 1")
-    return PartnerModel(solve=solve, c=c, objective_trace=np.asarray(trace))
+    model = PartnerModel(solve=solve, c=c, objective_trace=np.asarray(trace))
+    for array in (c, model.objective_trace, solve.dual_coeffs, solve.bias, solve.fitted):
+        array.flags.writeable = False
+    return model
 
 
 def labels_from_output(phat: np.ndarray) -> np.ndarray:

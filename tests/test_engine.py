@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plcp import engine, kernel, partner
+from plcp import cli, engine, kernel, partner
 from plcp.base import BaseClassifierKind
 from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, generate_synthetic, split
@@ -292,6 +293,104 @@ def test_blocked_test_prediction_equals_one_cross_matrix():
         report.test_predictions,
         partner.labels_from_output(kernel.predict(report.final_partner.solve, k_cross)),
     )
+
+
+SWEEP_INI = """
+[dataset]
+source = synthetic
+n = 60
+d = 2
+l = 3
+flip_q = 0.3
+
+[engine]
+max_iter = 3
+stop_change_frac = 0
+
+[partner]
+gamma = {gamma}
+
+[run]
+seeds = 1,2
+train_frac = 0.5
+outputs = {out_dir}
+emit_trajectories = false
+
+[sweep]
+{axes}
+"""
+
+
+def run_sweep_ini(tmp_path, gamma, axes):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(SWEEP_INI.format(gamma=gamma, out_dir=tmp_path / "out", axes=axes))
+    assert cli.main(["sweep", str(ini)]) == 0
+    return cli.read_results_csv(tmp_path / "out" / "sweep.csv")
+
+
+def fresh_copy(dataset):
+    return PartialLabelDataset(dataset.features, dataset.candidates, dataset.ground_truth)
+
+
+class TestGammaZeroPartner:
+    """At gamma 0 the partner never reads its supervision, so a train set
+    fits it once per partner config and every round and run reuses it."""
+
+    @pytest.mark.parametrize("gamma, fits", [(0.0, 1), (2.0, 3)])
+    def test_partner_fits_per_run(self, monkeypatch, gamma, fits):
+        calls = count_calls(monkeypatch, partner, "fit_partner")
+        _, _, report = blob_run(
+            max_iter=3, stop_change_frac=0.0, partner=PartnerConfig(gamma=gamma)
+        )
+        assert report.iterations_run == 3
+        assert len(calls) == fits
+
+    def test_alpha_sweep_fits_once_per_split(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, partner, "fit_partner")
+        rows = run_sweep_ini(tmp_path, 0, "alpha = 0.3,0.5,0.7")
+        rounds = [r["iterations_run"] for r in rows if r["method"] == "pl-knn-plcp"]
+        # six runs of three rounds each, on two splits
+        assert rounds == [3] * 3 * 2
+        assert len(calls) == 2
+
+    def test_lambda_alpha_sweep_holds_one_cached_partner(self, tmp_path, monkeypatch):
+        refs, alive_at_fit = [], []
+        original = partner.fit_partner
+
+        def tracked(*args):
+            alive_at_fit.append(sum(ref() is not None for ref in refs))
+            model = original(*args)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(partner, "fit_partner", tracked)
+        run_sweep_ini(tmp_path, 0, "lambda = 0.05,0.2,0.5\nalpha = 0.3,0.7")
+        # one fit per (seed, lambda), and none of another config alive at it
+        assert alive_at_fit == [0] * 2 * 3
+
+    @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
+    def test_shared_train_set_reports_equal_fresh_ones(self, base):
+        ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=4, flip_q=0.4, seed=31))
+        train, test = split(ds, 0.5, seed=32)
+        configs = [
+            EngineConfig(
+                base=BaseClassifierKind(kind=base), alpha=alpha, max_iter=3,
+                partner=PartnerConfig(gamma=0.0, kernel=KernelSpec(ridge=ridge)),
+            )
+            for ridge in (0.05, 0.2) for alpha in (0.3, 0.7)
+        ]
+        for config in configs:
+            shared = run_plcp(train, test.features, config)
+            fresh = run_plcp(fresh_copy(train), test.features, config)
+            np.testing.assert_array_equal(shared.train_predictions, fresh.train_predictions)
+            np.testing.assert_array_equal(shared.test_predictions, fresh.test_predictions)
+            assert shared.final_partner.c.tobytes() == fresh.final_partner.c.tobytes()
+            assert len(shared.trajectories) == len(fresh.trajectories)
+            for a, b in zip(shared.trajectories, fresh.trajectories):
+                np.testing.assert_array_equal(a.labels, b.labels)
+                assert a.change_frac == b.change_frac
+                assert a.truth_confidence.tobytes() == b.truth_confidence.tobytes()
+                assert a.max_false_confidence.tobytes() == b.max_false_confidence.tobytes()
 
 
 class TestMemoryCheck:

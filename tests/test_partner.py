@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,29 @@ class TestFitPartner:
         gap_soft = float(np.abs(soft.c + o - 1.0)[dataset.candidates > 0].mean())
         gap_hard = float(np.abs(hard.c + o - 1.0)[dataset.candidates > 0].mean())
         assert gap_hard < gap_soft
+
+    @pytest.mark.parametrize("aggressive", [False, True])
+    def test_gamma_zero_fit_does_not_read_the_supervision(self, aggressive):
+        # the engine's memo serves one gamma-0 fit to every later round and run
+        rng = np.random.default_rng(3)
+        dataset = random_dataset(rng)
+        skewed = dataset.candidates * rng.random(dataset.candidates.shape)
+        skewed /= skewed.sum(axis=1, keepdims=True)
+        config = PartnerConfig(gamma=0.0, aggressive=aggressive)
+        a, b = (fit_partner(dataset, o, config) for o in (uniform_supervision(dataset), skewed))
+        for name in ("c", "solve.dual_coeffs", "solve.bias", "solve.fitted", "objective_trace"):
+            first, second = (operator.attrgetter(name)(model) for model in (a, b))
+            assert first.tobytes() == second.tobytes(), name
+
+    def test_model_arrays_are_read_only(self):
+        dataset = random_dataset(np.random.default_rng(4))
+        model = fit_partner(dataset, uniform_supervision(dataset), PartnerConfig())
+        for array in (
+            model.c, model.objective_trace,
+            model.solve.dual_coeffs, model.solve.bias, model.solve.fitted,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_system_ridge_must_match_config(self):
         rng = np.random.default_rng(1)

@@ -81,6 +81,27 @@ def row_major_bisection(g, lo, hi, target):
     return clip(0.5 * (nu_lo + nu_hi))
 
 
+# three rows at l = 5 (inputs of solve_matrix at gamma 2) on which a
+# reverse-order label sum changes c; found among 200,000 random_rows rows
+NEAR_TIE_J = (
+    ("0x1.6e96adb8de302p-5", "0x1.773fce32107fep-2", "-0x1.f3464961e5025p-4",
+     "-0x1.58419245680bbp-2", "0x1.ff0b8655a9abep-1"),
+    ("0x1.3981423ea5b2fp-1", "0x1.e01169c86e212p-5", "0x1.3d81a583402edp-2",
+     "-0x1.68339a6afe2f5p-1", "0x1.0b72958622039p+0"),
+    ("-0x1.8a9be434e89efp-3", "-0x1.4545581216e24p-2", "-0x1.d3f59ba61c4b8p-2",
+     "-0x1.703be563f08efp-6", "0x1.e2efd03308d1cp-3"),
+)
+NEAR_TIE_O = (
+    ("0x1.20a302f25e4a9p-1", "0x1.04201c3a9337bp-1", "0x1.511f230de0dcdp-1",
+     "0x1.35a1d14331f54p-2", "0x1.49d28e9f9a63ap-1"),
+    ("0x1.900df3fbfd3c3p-1", "0x1.34c8222f274fcp-2", "0x1.ea62e593d637cp-3",
+     "0x1.c4d9f67cfc526p-2", "0x1.a4c53236c65e0p-2"),
+    ("0x1.d7150ca1270a1p-1", "0x1.67e2392e8e7c4p-1", "0x1.0a2ecb8cddb20p-6",
+     "0x1.7dc522928be20p-3", "0x1.75d7c180fc558p-1"),
+)
+NEAR_TIE_YHAT = ((1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 1, 0))
+
+
 def random_rows(rng, n, l):
     """Inputs of ``solve_matrix``: every row keeps a candidate, and about a
     quarter of the rows keep exactly one."""
@@ -221,6 +242,20 @@ class TestSolveMatrix:
         assert out.shape == (300, l) and out.dtype == np.float64 and out.flags.c_contiguous
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=0.0 if l < 8 else 1e-12)
         np.testing.assert_array_equal(labels_from_output(out), labels_from_output(expected))
+
+    def test_label_sum_order_on_near_tie_rows(self):
+        # rows whose clip-map sum comes so close to l - 1 during the bisection
+        # that the label order of the sum decides a comparison (about 1 in
+        # 2000 random rows at l = 5): a reverse-order sum moves c by ~4e-13
+        j = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_J])
+        o = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_O])
+        yhat = np.array(NEAR_TIE_YHAT, float)
+        for rows in (slice(None), *([i] for i in range(len(j)))):
+            out = solve_matrix(j[rows], o[rows], yhat[rows], gamma=2.0)
+            expected = row_major_bisection(
+                2.0 * o[rows] - 2.0 * j[rows], yhat[rows], np.ones_like(out), 4.0
+            )
+            assert out.tobytes() == expected.tobytes()
 
     def test_zero_hot_limit(self):
         rng = np.random.default_rng(33)
