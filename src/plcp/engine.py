@@ -7,19 +7,19 @@ back. The loop stops early once the per-sample label assignment settles
 for two consecutive iterations, and always within ``max_iter`` rounds.
 Test predictions come from the partner of the final iteration.
 
-What depends only on the train features (the Gaussian bandwidth, each
-ridge system, the PL-KNN neighbour table and the partner fit at gamma 0,
-which never reads its supervision) is taken from the train set's memo,
-so the base-alone run and every coupled run and round on the same
-dataset object build each of them once. Both runs take the base's
-outputs from :func:`base.fit_predict_base`, whose one fit answers the
-train rows and, when asked, the test rows.
+Each run starts with one setup step: a check that the run fits in
+physical memory, then what depends only on the train features, from the
+train set's memo: the Gaussian bandwidth, each ridge system and the
+PL-KNN neighbour table. So the base-alone run and every coupled run and
+round on one dataset object build each once. The partner fit at gamma 0,
+which never reads its supervision, is memoized too. Both runs take the
+base's outputs from :func:`base.fit_predict_base`, whose one fit answers
+the train rows and, when asked, the test rows.
 
-A run keeps one packed triangle of n_train(n_train+1)/2 float64 entries
-per ridge system (the factor) and one block of test rows of the
-test-by-train kernel matrix; a linear kernel's factor is packed from a
-whole n_train x n_train gram. Before any work the run checks that these
-fit in physical memory.
+The memory check counts one packed triangle of n_train(n_train+1)/2
+float64 entries per ridge system (the factor), each built from a gram of
+its own, and one block of test rows of the test-by-train kernel matrix; a
+linear kernel's factor is packed from a whole n_train x n_train gram.
 """
 
 from __future__ import annotations
@@ -145,36 +145,6 @@ def _snapshot(
     return IterationSnapshot(labels, change_frac, truth_conf, max_false)
 
 
-def _pin_sigma(dataset: PartialLabelDataset, spec: kernel.KernelSpec) -> kernel.KernelSpec:
-    """``spec`` with its Gaussian bandwidth, resolved once per dataset."""
-    if spec.kind == "gaussian" and spec.sigma is None:
-        sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(dataset.features, spec))
-        return replace(spec, sigma=sigma)
-    return spec
-
-
-def _ridge_systems(
-    dataset: PartialLabelDataset, *specs: kernel.KernelSpec
-) -> list[kernel.RidgeSystem]:
-    """The ridge system of each sigma-pinned spec, kept in the dataset's memo.
-
-    A call that needs a spec the memo lacks first drops the systems it does
-    not ask for, so the memo never holds more factors than one run uses; a
-    sweep, whose cells come ridge-outer, still builds each system once per
-    dataset. Each missing system is built by :func:`kernel.ridge_system`
-    from a gram of its own, so the call leaves no n x n array behind but
-    the factors.
-    """
-    systems = dataset.derived("ridge", dict)
-    if any(spec not in systems for spec in specs):
-        for stale in set(systems).difference(specs):
-            del systems[stale]
-        for spec in specs:
-            if spec not in systems:
-                systems[spec] = kernel.ridge_system(dataset.features, spec)
-    return [systems[spec] for spec in specs]
-
-
 def _fit_partner(dataset: PartialLabelDataset, o, cfg, system) -> partner.PartnerModel:
     """The partner fit on ``o``. At gamma 0 it never reads ``o``, so the memo
     keeps one such fit, of the latest config, for every later round and run."""
@@ -185,21 +155,6 @@ def _fit_partner(dataset: PartialLabelDataset, o, cfg, system) -> partner.Partne
         fits.clear()
         fits[cfg] = partner.fit_partner(dataset, o, cfg, system)
     return fits[cfg]
-
-
-def _prepare_base(
-    dataset: PartialLabelDataset, kind: base_mod.BaseClassifierKind, *specs: kernel.KernelSpec
-) -> tuple[base_mod.BaseClassifierKind, np.ndarray | kernel.RidgeSystem, list]:
-    """``kind`` with its bandwidth pinned, the kNN table (one per k) or ridge
-    system its fits share, and the ridge systems of ``specs``, from the memo."""
-    if kind.kind == "pl-knn":
-        table = dataset.derived(
-            ("neighbours", kind.k_neighbors), lambda: base_mod.prepare(kind, dataset)
-        )
-        return kind, table, _ridge_systems(dataset, *specs)
-    kind = replace(kind, kernel=_pin_sigma(dataset, kind.kernel))
-    *systems, prepared = _ridge_systems(dataset, *specs, kind.kernel)
-    return kind, prepared, systems
 
 
 def _physical_memory() -> int:
@@ -213,8 +168,7 @@ def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> Non
     The estimate counts what grows with n_train squared: one packed factor
     of n_train(n_train+1)/2 entries per ridge system of ``specs``, the whole
     n_train x n_train gram a linear kernel's factor is packed from, and the
-    largest block of test rows of the kernel matrix. It is raised before any
-    sigma, gram or neighbour work starts.
+    largest block of test rows of the kernel matrix.
     """
     block_rows = max(
         rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
@@ -242,7 +196,47 @@ def _as_test_matrix(dataset: PartialLabelDataset, test_features) -> np.ndarray:
         raise ValueError(
             f"test features have {test.shape[1]} columns, expected {dataset.n_features}"
         )
+    if not np.isfinite(test).all():
+        raise ValueError("test features contain NaN or Inf")
     return test
+
+
+def _prepare(
+    dataset: PartialLabelDataset, n_test: int, base: base_mod.BaseClassifierKind,
+    partner_spec: kernel.KernelSpec | None = None,
+) -> tuple:
+    """The setup of a run: what all its rounds share, from the train set's memo.
+
+    Returns ``base`` with its Gaussian bandwidth pinned, the base's kNN
+    table (one per k) or ridge system, and the pinned ``partner_spec`` with
+    its ridge system (None, None without one). In order: the memory check,
+    the bandwidth, the kNN table and the ridge systems (partner, then a
+    kernel-ls base). A call that needs a ridge system the memo lacks first
+    drops the ones it does not use, so the memo holds one run's factors and
+    a sweep, whose cells come ridge-outer, builds each once per dataset.
+    """
+    x, knn = dataset.features, base.kind == "pl-knn"
+    specs = [s for s in (partner_spec, None if knn else base.kernel) if s is not None]
+    _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)))
+    for i, spec in enumerate(specs):
+        if spec.kind == "gaussian" and spec.sigma is None:
+            sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(x, spec))
+            specs[i] = replace(spec, sigma=sigma)
+    if knn:
+        key = ("neighbours", base.k_neighbors)
+        prepared = dataset.derived(key, lambda: base_mod.prepare(base, dataset))
+    systems = dataset.derived("ridge", dict)
+    if any(spec not in systems for spec in specs):
+        for stale in set(systems).difference(specs):
+            del systems[stale]
+        for spec in specs:
+            if spec not in systems:
+                systems[spec] = kernel.ridge_system(x, spec)
+    if not knn:
+        base = replace(base, kernel=specs[-1])
+        prepared = systems[base.kernel]
+    partner_spec = specs[0] if partner_spec is not None else None
+    return base, prepared, partner_spec, systems.get(partner_spec)
 
 
 def run_plcp(
@@ -255,17 +249,10 @@ def run_plcp(
     y = dataset.candidates
     yhat = dataset.noncandidates
     test_features = _as_test_matrix(dataset, test_features)
-    kernel_specs = {config.partner.kernel}
-    if config.base.kind == "kernel-ls":
-        kernel_specs.add(config.base.kernel)
-    _check_memory(len(x), len(test_features), dataset.label_count, tuple(kernel_specs))
-
-    partner_spec = _pin_sigma(dataset, config.partner.kernel)
+    base_kind, base_prepared, partner_spec, system = _prepare(
+        dataset, len(test_features), config.base, config.partner.kernel
+    )
     partner_cfg = replace(config.partner, kernel=partner_spec)
-
-    # shared by every round, and with other runs on this dataset: the
-    # partner's ridge system, and the base's kNN table or ridge system
-    base_kind, base_prepared, (system,) = _prepare_base(dataset, config.base, partner_spec)
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
@@ -331,9 +318,7 @@ def run_base_alone(
     samples have no candidate mask.
     """
     test_features = _as_test_matrix(dataset, test_features)
-    specs = (kind.kernel,) if kind.kind == "kernel-ls" else ()
-    _check_memory(dataset.n_samples, len(test_features), dataset.label_count, specs)
+    kind, prepared, _, _ = _prepare(dataset, len(test_features), kind)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
-    kind, prepared, _ = _prepare_base(dataset, kind)
     m_train, m_test = base_mod.fit_predict_base(kind, dataset, p0, prepared, test_features)
     return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

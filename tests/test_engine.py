@@ -4,14 +4,16 @@ import sys
 import tracemalloc
 import weakref
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from plcp import base as base_mod
 from plcp import cli, engine, kernel, partner
 from plcp.base import BaseClassifierKind
-from plcp.core import PartialLabelDataset
+from plcp.core import InvariantViolation, PartialLabelDataset, init_confidence
 from plcp.data import SyntheticSpec, generate_synthetic, split
 from plcp.engine import EngineConfig, run_base_alone, run_plcp, should_stop
 from plcp.kernel import KernelSpec
@@ -203,6 +205,68 @@ class TestRunPlcp:
         ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.2, seed=1))
         with pytest.raises(ValueError, match="columns"):
             run_plcp(ds, np.zeros((5, 2)), EngineConfig(max_iter=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
+@pytest.mark.parametrize("runner", ["run_plcp", "run_base_alone"])
+def test_non_finite_test_features_fail_before_any_work(monkeypatch, runner, base, bad):
+    checks = count_calls(monkeypatch, engine, "_check_memory")
+    memo = count_calls(monkeypatch, PartialLabelDataset, "derived")
+    grams = count_calls(monkeypatch, kernel, "packed_gram")
+    sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
+    ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.3, seed=5))
+    test = ds.features[:3].copy()
+    test[1, 2] = bad
+    kind = BaseClassifierKind(kind=base)
+    with pytest.raises(ValueError, match="test features contain NaN or Inf"):
+        if runner == "run_plcp":
+            run_plcp(ds, test, EngineConfig(base=kind))
+        else:
+            run_base_alone(ds, test, kind)
+    assert checks == memo == grams == sigmas == []
+
+
+class TestInvariantChecks:
+    """Each typed check of a round's state raises on a state that breaks it."""
+
+    @pytest.fixture
+    def ds(self):
+        # every row has a non-candidate label, so every check can be broken
+        features = np.arange(8.0).reshape(4, 2)
+        candidates = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1]], dtype=float)
+        return PartialLabelDataset(features, candidates)
+
+    def test_initial_state_passes(self, ds):
+        engine._check_state(init_confidence(ds), ds.candidates)
+
+    @pytest.mark.parametrize("name", ["o", "ohat"])
+    def test_rows_must_sum_to_one(self, ds, name):
+        state = init_confidence(ds)
+        state = replace(state, **{name: 2.0 * getattr(state, name)})
+        with pytest.raises(InvariantViolation, match=f"{name} rows must sum to 1"):
+            engine._check_state(state, ds.candidates)
+
+    @pytest.mark.parametrize("name", ["o", "ohat"])
+    def test_mass_must_vanish_off_candidates(self, ds, name):
+        # row 1 puts all its mass on label 2, which is not a candidate
+        moved = np.array(getattr(init_confidence(ds), name))
+        moved[1] = [0.0, 0.0, 1.0]
+        state = replace(init_confidence(ds), **{name: moved})
+        with pytest.raises(InvariantViolation, match=f"{name} must vanish off-candidates"):
+            engine._check_state(state, ds.candidates)
+
+    def test_p_must_stay_in_its_box(self, ds):
+        p = np.array(init_confidence(ds).p)
+        p[0, 2] = 0.1  # above y = 0 on a non-candidate
+        with pytest.raises(InvariantViolation, match=r"p left the \[0, y\] box"):
+            engine._check_state(replace(init_confidence(ds), p=p), ds.candidates)
+
+    def test_phat_must_stay_in_its_box(self, ds):
+        phat = np.array(init_confidence(ds).phat)
+        phat[0, 2] = 0.9  # below yhat = 1 on a non-candidate
+        with pytest.raises(InvariantViolation, match=r"phat left the \[yhat, 1\] box"):
+            engine._check_state(replace(init_confidence(ds), phat=phat), ds.candidates)
 
 
 class TestConfigValidation:
@@ -399,6 +463,7 @@ class TestMemoryCheck:
         monkeypatch.setattr(engine, "_physical_memory", lambda: 1 << 20)
         grams = count_calls(monkeypatch, kernel, "packed_gram")
         sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
+        searches = count_calls(monkeypatch, base_mod, "neighbour_table")
         ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
         kind = BaseClassifierKind(kind=base)
         with pytest.raises(MemoryError, match=r"800 train and 7 test samples.*1 MiB"):
@@ -406,7 +471,7 @@ class TestMemoryCheck:
         if base == "kernel-ls":
             with pytest.raises(MemoryError, match="800x800"):
                 run_base_alone(ds, ds.features[:7], kind)
-        assert grams == [] and sigmas == []
+        assert grams == [] and sigmas == [] and searches == []
 
     def test_estimate_counts_one_factor_per_ridge_system(self, monkeypatch):
         # 800 * 801 / 2 * 8 bytes is 2.4 MiB: one factor fits in 4 MiB, two

@@ -3,7 +3,8 @@ import operator
 import numpy as np
 import pytest
 
-from plcp.core import PartialLabelDataset
+from plcp import qp
+from plcp.core import InvariantViolation, PartialLabelDataset
 from plcp.kernel import (
     KernelSolve,
     KernelSpec,
@@ -185,6 +186,22 @@ class TestFitPartner:
         dataset = random_dataset(rng)
         with pytest.raises(ValueError, match="supervision"):
             fit_partner(dataset, np.zeros((2, 2)), PartnerConfig())
+
+    @pytest.mark.parametrize(
+        "c_value, message",
+        [
+            # 0 lies below yhat = 1 on every non-candidate label
+            (0.0, r"partner c left the \[yhat, 1\] box"),
+            # 1 everywhere stays in the box, but its rows sum to l, not l - 1
+            (1.0, "partner c rows must sum to l - 1"),
+        ],
+    )
+    def test_broken_c_step_raises(self, monkeypatch, c_value, message):
+        monkeypatch.setattr(qp, "solve_matrix", lambda j, *_: np.full_like(j, c_value))
+        dataset = random_dataset(np.random.default_rng(1))
+        assert (dataset.noncandidates > 0).any()
+        with pytest.raises(InvariantViolation, match=message):
+            fit_partner(dataset, uniform_supervision(dataset), PartnerConfig())
 
 
 def bias_only_model(bias):
