@@ -15,7 +15,10 @@ run on all rows at once. It works label-major, on ``(l, n)`` arrays, so a
 row's sum is l vector additions over the n rows, in label order. Below 8
 labels that is the order of a row-major sum, and ``c`` keeps its bits;
 from 8 labels NumPy's row-major sum runs pairwise, and ``c`` can differ
-from it by about 2e-13.
+from it by about 2e-13. A step runs four in-place ufuncs and a sum over one
+``(l, n)`` buffer made once a call, bit for bit ``np.clip((-g - mid) / 2,
+lo, hi)``: negation and halving are exact, and maximum-then-minimum is
+``np.clip`` to the bit, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ class RowQpProblem:
             )
 
 
-def _clip_map(nu, g, lo, hi):
-    return np.clip((-g - nu) / 2.0, lo, hi)
+def _clip_map(ng, nu, lo, hi, out=None):
+    """``np.clip((ng - nu) / 2, lo, hi)`` bit for bit, into ``out``; with
+    ``np.maximum(lo, out)`` a zero would change its sign."""
+    out = np.multiply(np.subtract(ng, nu, out=out), 0.5, out=out)
+    return np.minimum(np.maximum(out, lo, out=out), hi, out=out)
 
 
 def _bisect(
@@ -67,21 +73,24 @@ def _bisect(
     """Minimizers ``c`` and multipliers ``nu`` of ``(n, l)`` row problems.
 
     The bisection runs vectorized across rows, each with its own multiplier,
-    on label-major copies; ``c`` comes back C-contiguous for its readers.
+    on label-major copies; ``c`` comes back as a fresh C-contiguous array.
     """
-    g, lo, hi = (np.ascontiguousarray(a.T) for a in (g, lo, hi))
+    ng, lo, hi = (np.ascontiguousarray(a.T) for a in (-g, lo, hi))
     # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
-    nu_lo = (-g - 2.0 * hi).min(axis=0)
-    nu_hi = (-g - 2.0 * lo).max(axis=0)
+    nu_lo = (ng - 2.0 * hi).min(axis=0)
+    nu_hi = (ng - 2.0 * lo).max(axis=0)
+    if not (np.isfinite(nu_lo).all() and np.isfinite(nu_hi).all()):
+        raise ValueError("row QP has a non-finite linear term or bound")
+    buf, mid, s = np.empty_like(ng), np.empty_like(nu_lo), np.empty_like(nu_lo)
     for _ in range(MAX_BISECT):
         if (nu_hi - nu_lo).max() <= NU_TOL:
             break
-        mid = 0.5 * (nu_lo + nu_hi)
-        too_low = _clip_map(mid, g, lo, hi).sum(axis=0) >= target
-        nu_lo = np.where(too_low, mid, nu_lo)
-        nu_hi = np.where(too_low, nu_hi, mid)
-    nu = 0.5 * (nu_lo + nu_hi)
-    return np.ascontiguousarray(_clip_map(nu, g, lo, hi).T), nu
+        np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
+        too_low = np.add.reduce(_clip_map(ng, mid, lo, hi, buf), axis=0, out=s) >= target
+        np.putmask(nu_lo, too_low, mid)
+        np.putmask(nu_hi, ~too_low, mid)
+    np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
+    return _clip_map(ng, mid, lo, hi, buf).T.copy(), mid
 
 
 def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]:
@@ -90,9 +99,9 @@ def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]
     nu_lo = float((-g - 2.0 * hi).min())
     nu_hi = float((-g - 2.0 * lo).max())
     # bracketing: sum is maximal (= sum of uppers) at nu_lo, minimal at nu_hi
-    if not _clip_map(nu_lo, g, lo, hi).sum() >= problem.sum_target - 1e-9:
+    if not _clip_map(-g, nu_lo, lo, hi).sum() >= problem.sum_target - 1e-9:
         raise InvariantViolation("bracket end nu_lo gives a sum below the target")
-    if not _clip_map(nu_hi, g, lo, hi).sum() <= problem.sum_target + 1e-9:
+    if not _clip_map(-g, nu_hi, lo, hi).sum() <= problem.sum_target + 1e-9:
         raise InvariantViolation("bracket end nu_hi gives a sum above the target")
     c, nu = _bisect(g[None], lo[None], hi[None], problem.sum_target)
     return c[0], float(nu[0])
@@ -130,16 +139,15 @@ def solve_matrix(
     """Solve every row problem of the auxiliary-confidence update at once.
 
     Row ``i`` minimizes ``c^T c + (gamma * o_i - 2 * j_i)^T c`` over the box
-    ``[yhat_i, 1]`` with coordinate sum ``l - 1``.
+    ``[yhat_i, 1]`` with coordinate sum ``l - 1``. Non-finite input raises
+    ``ValueError`` before any step; ``c`` comes back as a fresh array.
     """
     j, o, yhat = np.asarray(j, float), np.asarray(o, float), np.asarray(yhat, float)
     if not j.shape == o.shape == yhat.shape:
         raise ValueError("j, o, yhat must share one shape")
     l = j.shape[1]
     g = gamma * o - 2.0 * j
-    lo = yhat
-    hi = np.ones_like(g)
     target = float(l - 1)
-    if (lo.sum(axis=1) > target + 1e-12).any():
+    if (yhat.sum(axis=1) > target + 1e-12).any():
         raise ValueError("infeasible row: non-candidate mass exceeds l - 1")
-    return _bisect(g, lo, hi, target)[0]
+    return _bisect(g, yhat, np.ones_like(g), target)[0]

@@ -456,6 +456,21 @@ class TestGammaZeroPartner:
                 assert a.truth_confidence.tobytes() == b.truth_confidence.tobytes()
                 assert a.max_false_confidence.tobytes() == b.max_false_confidence.tobytes()
 
+    def test_cached_partner_c_survives_later_fits(self):
+        # the row QP returns a fresh array a fit, so no later fit on the
+        # train set can write into the c that the memo keeps
+        ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=4, flip_q=0.4, seed=31))
+        train, test = split(ds, 0.5, seed=32)
+        config = EngineConfig(max_iter=2, partner=PartnerConfig(gamma=0.0))
+        cached = run_plcp(train, test.features, config).final_partner
+        kept = cached.c.tobytes()
+        coupled = run_plcp(
+            train, test.features, replace(config, partner=PartnerConfig(gamma=2.0))
+        ).final_partner
+        assert not np.shares_memory(coupled.c, cached.c)
+        assert run_plcp(train, test.features, config).final_partner is cached
+        assert cached.c.tobytes() == kept
+
 
 class TestMemoryCheck:
     @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])

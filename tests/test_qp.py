@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcp import qp
 from plcp.core import InvariantViolation
 from plcp.partner import labels_from_output
 from plcp.qp import (
@@ -79,6 +80,31 @@ def row_major_bisection(g, lo, hi, target):
         nu_lo = np.where(too_low, mid, nu_lo)
         nu_hi = np.where(too_low, nu_hi, mid)
     return clip(0.5 * (nu_lo + nu_hi))
+
+
+def _clip_map(nu, g, lo, hi):
+    return np.clip((-g - nu) / 2.0, lo, hi)
+
+
+def allocating_bisection(
+    g: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's label-major bisection with every op allocating a new
+    array and the clip taken by ``np.clip``: the byte oracle of
+    ``qp._bisect``."""
+    g, lo, hi = (np.ascontiguousarray(a.T) for a in (g, lo, hi))
+    # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
+    nu_lo = (-g - 2.0 * hi).min(axis=0)
+    nu_hi = (-g - 2.0 * lo).max(axis=0)
+    for _ in range(MAX_BISECT):
+        if (nu_hi - nu_lo).max() <= NU_TOL:
+            break
+        mid = 0.5 * (nu_lo + nu_hi)
+        too_low = _clip_map(mid, g, lo, hi).sum(axis=0) >= target
+        nu_lo = np.where(too_low, mid, nu_lo)
+        nu_hi = np.where(too_low, nu_hi, mid)
+    nu = 0.5 * (nu_lo + nu_hi)
+    return np.ascontiguousarray(_clip_map(nu, g, lo, hi).T), nu
 
 
 # three rows at l = 5 (inputs of solve_matrix at gamma 2) on which a
@@ -252,10 +278,69 @@ class TestSolveMatrix:
         yhat = np.array(NEAR_TIE_YHAT, float)
         for rows in (slice(None), *([i] for i in range(len(j)))):
             out = solve_matrix(j[rows], o[rows], yhat[rows], gamma=2.0)
-            expected = row_major_bisection(
-                2.0 * o[rows] - 2.0 * j[rows], yhat[rows], np.ones_like(out), 4.0
-            )
+            g, hi = 2.0 * o[rows] - 2.0 * j[rows], np.ones_like(out)
+            expected = row_major_bisection(g, yhat[rows], hi, 4.0)
             assert out.tobytes() == expected.tobytes()
+            c, nu = qp._bisect(g, yhat[rows], hi, 4.0)
+            expected_c, expected_nu = allocating_bisection(g, yhat[rows], hi, 4.0)
+            assert c.tobytes() == expected_c.tobytes() == out.tobytes()
+            assert nu.tobytes() == expected_nu.tobytes()
+
+    @pytest.mark.parametrize("l", [*range(1, 9), 30, 171])
+    def test_bytes_match_allocating_bisection(self, l):
+        j, o, yhat = random_rows(np.random.default_rng(400 + l), 200, l)
+        g, hi = 2.0 * o - 2.0 * j, np.ones((200, l))
+        c, nu = qp._bisect(g, yhat, hi, l - 1.0)
+        expected_c, expected_nu = allocating_bisection(g, yhat, hi, l - 1.0)
+        assert c.tobytes() == expected_c.tobytes() and nu.tobytes() == expected_nu.tobytes()
+        assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected_c.tobytes()
+
+    def test_clip_map_is_np_clip_on_signed_zeros(self):
+        # every (value, lower) pair of signed zeros and NaN, over 33 entries so
+        # that both a vector body and a scalar tail run; np.maximum(lo, buf)
+        # would return the other zero where value and lower are zeros of
+        # opposite sign
+        values = np.array([0.0, -0.0, np.nan, 0.25])
+        pairs = np.array(list(itertools.product(values, [0.0, -0.0, np.nan])))
+        ng, lo = (np.resize(pairs[:, i], 33) for i in (0, 1))
+        hi = np.ones(33)
+        expected = np.clip((ng - 0.0) / 2.0, lo, hi)
+        assert qp._clip_map(ng, 0.0, lo, hi).tobytes() == expected.tobytes()
+        out = np.empty(33)
+        assert qp._clip_map(ng, 0.0, lo, hi, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[:2]).tolist() == [False, True]
+
+    def test_result_is_a_fresh_array(self):
+        rng = np.random.default_rng(12)
+        first_inputs, second_inputs = random_rows(rng, 40, 6), random_rows(rng, 40, 6)
+        first = solve_matrix(*first_inputs, gamma=2.0)
+        kept = first.copy()
+        assert first.shape == (40, 6) and first.flags.c_contiguous and first.flags.owndata
+        assert not any(np.shares_memory(first, a) for a in first_inputs)
+        second = solve_matrix(*second_inputs, gamma=2.0)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        for l in (1, 6):  # a one-label transpose is contiguous without a copy
+            out = solve_matrix(*random_rows(rng, 1, l), gamma=2.0)
+            assert out.flags.c_contiguous and out.flags.owndata
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [*itertools.product(["j", "o"], [np.nan, np.inf, -np.inf]), ("gamma", np.nan)],
+    )
+    def test_non_finite_input_raises_before_bisecting(self, monkeypatch, where, value):
+        steps = []
+        monkeypatch.setattr(qp, "_clip_map", lambda *args: steps.append(args))
+        inputs = dict(zip(["j", "o", "yhat"], random_rows(np.random.default_rng(8), 6, 4)))
+        inputs["gamma"] = 2.0
+        if where == "gamma":
+            inputs["gamma"] = value
+        else:
+            inputs[where][3, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_matrix(**inputs)
+        assert steps == []
 
     def test_zero_hot_limit(self):
         rng = np.random.default_rng(33)
