@@ -46,15 +46,6 @@ class BaseClassifierKind:
             raise ValueError("k_neighbors must be positive")
 
 
-# distances per block of the neighbour search: 2 MiB of float64
-_BLOCK_DISTANCES = 1 << 18
-
-
-def _block_rows(n_train: int) -> int:
-    """Query rows per block of the neighbour search against ``n_train`` rows."""
-    return max(1, _BLOCK_DISTANCES // n_train)
-
-
 def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
     # The k-th smallest distance of a row bounds its neighbours. Every
     # distance up to that bound stays a candidate, ties included; a stable
@@ -87,7 +78,7 @@ def neighbour_table(
     if not np.isfinite(query).all():
         raise ValueError("query features contain NaN or Inf")
     table = np.empty((query.shape[0], k), dtype=np.intp)
-    step = _block_rows(train.shape[0])
+    step = kernel.block_rows(train.shape[0])
     for start in range(0, query.shape[0], step):
         distances = cdist(query[start : start + step], train)
         if exclude_self:

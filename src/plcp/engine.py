@@ -3,9 +3,10 @@
 Each iteration runs: base training on the partner-side supervision, the
 candidate-confidence blend/clamp, blurring, partner training on that
 blurred supervision, the complement-confidence blend/clamp, and blurring
-back. The loop stops early once the per-sample label assignment settles
-for two consecutive iterations, and always within ``max_iter`` rounds.
-Test predictions come from the partner of the final iteration.
+back. Each round leaves one :class:`IterationSnapshot`, which holds its
+label-change fraction; the loop stops early once two fractions in a row
+fall below the threshold, and always within ``max_iter`` rounds. Test
+predictions come from the partner of the final iteration.
 
 Each run starts with one setup step: a check that the run fits in
 physical memory, then what depends only on the train features, from the
@@ -25,7 +26,7 @@ linear kernel's factor is packed from a whole n_train x n_train gram.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,7 +68,8 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class IterationSnapshot:
-    """Per-iteration trail: argmax labels plus confidence extrema for plots."""
+    """One round's record: its argmax labels, the fraction of them that
+    changed in the round, and confidence extrema for plots."""
 
     labels: np.ndarray
     change_frac: float
@@ -77,31 +79,27 @@ class IterationSnapshot:
 
 @dataclass(frozen=True)
 class RunReport:
-    iterations_run: int
+    """A run's rounds, its final partner and its test labels; the round
+    count and the train labels are those of the rounds."""
+
     trajectories: list[IterationSnapshot]
     final_partner: partner.PartnerModel
-    final_state: ConfidenceState
-    train_predictions: np.ndarray
     test_predictions: np.ndarray
 
+    @property
+    def iterations_run(self) -> int:
+        return len(self.trajectories)
 
-def should_stop(
-    prev_labels: np.ndarray,
-    curr_labels: np.ndarray,
-    history: deque,
-    threshold: float,
-) -> bool:
-    """Record the label-change fraction and test the two-in-a-row rule.
+    @property
+    def train_predictions(self) -> np.ndarray:
+        return self.trajectories[-1].labels
 
-    ``history`` is a ring of the last two change fractions, mutated in
-    place. Returns True once two consecutive fractions fall below the
-    threshold. The hard iteration cap is the caller's responsibility.
-    """
-    prev_labels, curr_labels = np.asarray(prev_labels), np.asarray(curr_labels)
-    if prev_labels.shape != curr_labels.shape:
-        raise ValueError("label vectors must have equal length")
-    history.append(float(np.mean(prev_labels != curr_labels)))
-    return len(history) == 2 and all(f < threshold for f in history)
+
+def should_stop(change_fracs: Sequence[float], threshold: float) -> bool:
+    """The two-in-a-row rule: True once the last two of the rounds' label
+    change fractions both fall below ``threshold``. The hard iteration cap
+    is the caller's responsibility."""
+    return len(change_fracs) >= 2 and all(f < threshold for f in change_fracs[-2:])
 
 
 def _check_state(state: ConfidenceState, y: np.ndarray) -> None:
@@ -256,7 +254,6 @@ def run_plcp(
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
-    history: deque = deque(maxlen=2)
     snapshots: list[IterationSnapshot] = []
     partner_model = None
 
@@ -276,10 +273,10 @@ def run_plcp(
             _check_state(state, y)
 
         labels_curr = _masked_argmax(p_new, y)
-        stop = should_stop(labels_prev, labels_curr, history, config.stop_change_frac)
-        snapshots.append(_snapshot(p_new, labels_curr, history[-1], dataset))
+        change_frac = float(np.mean(labels_curr != labels_prev))
+        snapshots.append(_snapshot(p_new, labels_curr, change_frac, dataset))
         labels_prev = labels_curr
-        if stop:
+        if should_stop([snap.change_frac for snap in snapshots], config.stop_change_frac):
             break
 
     if partner_model is None:
@@ -295,14 +292,7 @@ def run_plcp(
             kernel.predict_query(partner_model.solve, test_features, x, partner_spec)
         )
 
-    return RunReport(
-        iterations_run=len(snapshots),
-        trajectories=snapshots,
-        final_partner=partner_model,
-        final_state=state,
-        train_predictions=labels_prev,
-        test_predictions=test_predictions,
-    )
+    return RunReport(snapshots, partner_model, test_predictions)
 
 
 def run_base_alone(

@@ -144,8 +144,14 @@ def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> 
     return _gaussian(cdist(x_query, x_train, "sqeuclidean"), sigma)
 
 
-# Kernel entries per block of rows that packed_gram computes at a time.
-_PACK_BLOCK = 1 << 17
+# Entries per block of rows of a loop over n_train-wide rows: 1 MiB of float64.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a loop over rows ``width`` entries wide: the
+    neighbour search's distance rows and :func:`packed_gram`'s kernel rows."""
+    return max(1, _BLOCK_ENTRIES // width)
 
 
 def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -170,7 +176,7 @@ def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     k, even = (n + 1) // 2, 1 - n % 2
     packed = np.empty(n * (n + 1) // 2)
     columns = packed.reshape(k, n + even)  # row c is the RFP array's column c
-    step = max(1, _PACK_BLOCK // n)
+    step = block_rows(n)
     # the whole square K[k:, k:] first: its upper half lands where the
     # columns K[c:, c] go next, and those overwrite it
     for a in range(k, n, step):

@@ -51,6 +51,8 @@ class RowQpProblem:
         object.__setattr__(self, "upper", hi)
         if not g.shape == lo.shape == hi.shape:
             raise ValueError("linear, lower, upper must share one shape")
+        if not all(np.isfinite(a).all() for a in (g, lo, hi)):
+            raise ValueError("linear, lower and upper must be finite")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         if not lo.sum() - 1e-12 <= self.sum_target <= hi.sum() + 1e-12:

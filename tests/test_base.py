@@ -5,7 +5,6 @@ from scipy.spatial.distance import cdist
 from plcp import kernel
 from plcp.base import (
     BaseClassifierKind,
-    _block_rows,
     binarize_supervision,
     fit_predict_base,
     neighbour_table,
@@ -90,10 +89,10 @@ def stable_argsort_table(query, train, k, exclude_self=False):
 
 
 class TestNeighbourTable:
-    # a train set of 600 rows splits the query rows into blocks of 436
+    # a train set of 600 rows splits the query rows into blocks of 218
     N_TRAIN = 600
 
-    # 600 rows are not a multiple of their block size; 512 rows fill one block
+    # 600 rows are not a multiple of their block size; 512 rows fill two blocks
     @pytest.mark.parametrize("n", [N_TRAIN, 512])
     @pytest.mark.parametrize("k", [1, 7, "n-1"])
     def test_fit_path_matches_stable_argsort(self, n, k):
@@ -104,7 +103,7 @@ class TestNeighbourTable:
             stable_argsort_table(x, x, k, exclude_self=True),
         )
 
-    @pytest.mark.parametrize("rows", [100, _block_rows(N_TRAIN), 1000])
+    @pytest.mark.parametrize("rows", [100, kernel.block_rows(N_TRAIN), 1000])
     @pytest.mark.parametrize("k", [1, 7, N_TRAIN])
     def test_query_path_matches_stable_argsort(self, rows, k):
         rng = np.random.default_rng(rows)
@@ -114,9 +113,9 @@ class TestNeighbourTable:
         )
 
     def test_block_sizes_cover_the_cases(self):
-        step = _block_rows(self.N_TRAIN)
+        step = kernel.block_rows(self.N_TRAIN)
         assert 100 < step < self.N_TRAIN and self.N_TRAIN % step and 1000 % step
-        assert _block_rows(512) == 512
+        assert kernel.block_rows(512) == 256
 
     def test_non_finite_query_rejected(self):
         with pytest.raises(ValueError, match="NaN"):

@@ -3,7 +3,6 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,35 +42,19 @@ def blob_run(seed=7, n=200, l=4, flip_q=0.5, **cfg_kwargs):
 
 class TestShouldStop:
     def test_identical_twice_stops(self):
-        labels = np.array([0, 1, 2, 1])
-        history = deque(maxlen=2)
-        assert not should_stop(labels, labels, history, 0.05)
-        assert should_stop(labels, labels, history, 0.05)
+        assert not should_stop([0.0], 0.05)
+        assert should_stop([0.0, 0.0], 0.05)
 
     def test_persistent_change_keeps_going(self):
-        history = deque(maxlen=2)
-        a = np.zeros(10, dtype=int)
-        b = a.copy()
-        b[0] = 1  # 10% change each round
-        assert not should_stop(a, b, history, 0.05)
-        assert not should_stop(b, a, history, 0.05)
-        assert not should_stop(a, b, history, 0.05)
+        fracs = [0.1, 0.1, 0.1]  # 10% change each round
+        assert not any(should_stop(fracs[:n], 0.05) for n in range(4))
 
     def test_below_then_above_does_not_stop(self):
-        history = deque(maxlen=2)
-        a = np.zeros(100, dtype=int)
-        b = a.copy()
-        b[:4] = 1  # 4% change
-        c = a.copy()
-        c[:6] = 2  # 6% change
-        assert not should_stop(a, b, history, 0.05)
-        assert not should_stop(a, c, history, 0.05)
-        assert history[0] == pytest.approx(0.04)
-        assert history[1] == pytest.approx(0.06)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            should_stop(np.zeros(3), np.zeros(4), deque(maxlen=2), 0.05)
+        assert not should_stop([0.04], 0.05)
+        assert not should_stop([0.04, 0.06], 0.05)
+        # only the last two rounds count
+        assert not should_stop([0.01, 0.01, 0.06], 0.05)
+        assert should_stop([0.06, 0.01, 0.01], 0.05)
 
 
 class TestRunPlcp:
@@ -97,10 +80,23 @@ class TestRunPlcp:
         np.testing.assert_array_equal(first.test_predictions, second.test_predictions)
         assert first.iterations_run == second.iterations_run
 
-    def test_confidence_state_invariants(self):
+    def test_derived_fields_read_the_rounds(self):
+        train, _, report = blob_run(seed=5, max_iter=4, stop_change_frac=0.0)
+        assert report.iterations_run == len(report.trajectories) == 4
+        assert report.train_predictions is report.trajectories[-1].labels
+        # each round's change fraction is against the round before, the
+        # first against the argmax of the initial confidences
+        labels = [engine._masked_argmax(init_confidence(train).p, train.candidates)]
+        labels += [snap.labels for snap in report.trajectories]
+        for prev, snap in zip(labels, report.trajectories):
+            assert snap.change_frac == np.mean(snap.labels != prev)
+
+    def test_confidence_state_invariants(self, monkeypatch):
+        calls = count_calls(monkeypatch, engine, "_check_state")
         train, _, report = blob_run(seed=5)
-        y = train.candidates
-        state = report.final_state
+        assert len(calls) == report.iterations_run
+        state, y = calls[-1]
+        assert y is train.candidates
         np.testing.assert_allclose(state.o.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(state.ohat.sum(axis=1), 1.0, atol=1e-9)
         assert (state.o[y == 0] == 0.0).all()
@@ -288,14 +284,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k is NaN"):
             EngineConfig(k=float("nan"))
 
-    def test_minus_infinity_temperature_blurs_to_uniform(self):
+    def test_minus_infinity_temperature_blurs_to_uniform(self, monkeypatch):
+        fits = count_calls(monkeypatch, engine, "_fit_partner")
+        bases = count_calls(monkeypatch, base_mod, "fit_predict_base")
         ds = generate_synthetic(SyntheticSpec(n=40, d=2, l=3, flip_q=0.5, seed=3))
         train, test = split(ds, 0.5, seed=4)
         report = run_plcp(train, test.features, EngineConfig(k=-np.inf, max_iter=2))
+        assert report.iterations_run == len(fits) == len(bases) == 2
         y = train.candidates
         uniform = y / y.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(report.final_state.o, uniform, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(report.final_state.ohat, uniform, rtol=0, atol=1e-15)
+        # the o each partner fit reads and the ohat each base fit reads
+        for o in [args[1] for args in fits] + [args[2] for args in bases]:
+            np.testing.assert_allclose(o, uniform, rtol=0, atol=1e-15)
 
     def test_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):

@@ -292,6 +292,16 @@ class TestPackedGram:
         assert info == 0
         np.testing.assert_array_equal(packed_gram(x, spec), expected)
 
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_row_blocks_keep_the_bits(self, monkeypatch, n, rows):
+        # both loops of the gaussian build run over several blocks, some short
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        whole = packed_gram(x, KernelSpec())
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", n * rows)
+        assert kernel.block_rows(n) == rows
+        np.testing.assert_array_equal(packed_gram(x, KernelSpec()), whole)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 51])
     def test_factor_is_the_cholesky_factor_of_b(self, n):
         x = np.random.default_rng(n).normal(size=(n, 3))

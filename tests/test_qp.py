@@ -188,6 +188,16 @@ class TestSolveRow:
                 sum_target=3.0,
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        itertools.product(["linear", "lower", "upper"], [np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_problem_rejected(self, name, value):
+        arrays = {"linear": np.array([0.0, 0.0, 1.0]), "lower": np.zeros(3), "upper": np.ones(3)}
+        arrays[name][0] = value
+        with pytest.raises(ValueError, match="finite"):
+            RowQpProblem(**arrays, sum_target=2.0)
+
     @pytest.mark.parametrize("sum_target, end", [(3.0, "nu_lo"), (-1.0, "nu_hi")])
     def test_broken_bracket_raises_typed_error(self, sum_target, end):
         # a problem that skipped validation: no multiplier reaches its sum
