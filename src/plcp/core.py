@@ -45,11 +45,11 @@ class PartialLabelDataset:
     The dataset keeps read-only copies of its arrays, so what is derived
     from them can never go stale. It also memoizes that derived state (see
     :meth:`derived`): the resolved Gaussian bandwidth, the ridge systems
-    of the latest run, one neighbour table per neighbour count, the partner
-    fit of the latest gamma-0 config and one base-alone run per base
-    config. The memo lives exactly as long as the dataset object, so every
-    run on the same train set shares these, and a new dataset, even with
-    equal contents, builds its own.
+    of the latest run, one neighbour table per neighbour count, the row
+    QP's candidate layout, the partner fit of the latest gamma-0 config and
+    one base-alone run per base config. The memo lives exactly as long as
+    the dataset object, so every run on the same train set shares these,
+    and a new dataset, even with equal contents, builds its own.
     """
 
     features: np.ndarray

@@ -9,10 +9,10 @@ fall below the threshold, and always within ``max_iter`` rounds. Test
 predictions come from the partner of the final iteration.
 
 Each run starts with one setup step: a check that the run fits in
-physical memory, then what depends only on the train features, from the
-train set's memo: the Gaussian bandwidth, each ridge system and the
-PL-KNN neighbour table. So the base-alone run and every coupled run and
-round on one dataset object build each once. The partner fit at gamma 0,
+physical memory, then what depends only on the train set, from its memo:
+the Gaussian bandwidth, the row QP's candidate layout, the PL-KNN
+neighbour table and each ridge system. So the base-alone run and every
+coupled run and round on one dataset object build each once. The partner fit at gamma 0,
 which never reads its supervision, is memoized too. Both runs take the
 base's outputs from :func:`base.fit_predict_base`, whose one fit answers
 the train rows and, when asked, the test rows.
@@ -20,7 +20,9 @@ the train rows and, when asked, the test rows.
 The memory check counts one packed triangle of n_train(n_train+1)/2
 float64 entries per ridge system (the factor), each built from a gram of
 its own, and one block of test rows of the test-by-train kernel matrix; a
-linear kernel's factor is packed from a whole n_train x n_train gram.
+linear kernel's factor is packed from a whole n_train x n_train gram. A
+bandwidth still to resolve adds the phase before the first factor, when
+its condensed pairwise distances sit beside the factors the memo holds.
 """
 
 from __future__ import annotations
@@ -160,28 +162,38 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> None:
+def _check_memory(
+    n_train: int, n_test: int, n_labels: int, specs: tuple, held: int | None = None
+) -> None:
     """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
 
     The estimate counts what grows with n_train squared: one packed factor
     of n_train(n_train+1)/2 entries per ridge system of ``specs``, the whole
     n_train x n_train gram a linear kernel's factor is packed from, and the
-    largest block of test rows of the kernel matrix.
+    largest block of test rows of the kernel matrix. Unless ``held`` is None,
+    the Gaussian bandwidth is still to be resolved: its condensed distances,
+    n_train(n_train-1)/2 entries, are alive before the first factor, beside
+    the ``held`` factors the memo keeps until then, and the estimate is the
+    larger of the two phases.
     """
     block_rows = max(
         rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
     )
+    triangle = n_train * (n_train + 1) // 2
     linear = any(spec.kind == "linear" for spec in specs)
-    squares = len(specs) * n_train * (n_train + 1) // 2 + linear * n_train * n_train
-    estimate = 8 * (squares + n_train * block_rows)
+    estimate = 8 * (len(specs) * triangle + linear * n_train * n_train + n_train * block_rows)
+    bandwidth = 0 if held is None else 8 * (held * triangle + n_train * (n_train - 1) // 2)
     memory = _physical_memory()
-    if estimate > memory:
+    if max(estimate, bandwidth) > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
             f"about {estimate / 2**20:.0f} MiB for {len(specs)} ridge system(s) of "
             f"{n_train}x{n_train}, each a packed triangle, "
             + ("the whole linear gram it is packed from, " if linear else "")
-            + f"and one block of test rows, but physical memory is {memory / 2**20:.0f} MiB"
+            + "and one block of test rows, "
+            + (f"or {bandwidth / 2**20:.0f} MiB for the bandwidth's pairwise distances "
+               f"beside {held} held ridge system(s), " if held is not None else "")
+            + f"but physical memory is {memory / 2**20:.0f} MiB"
         )
 
 
@@ -208,22 +220,27 @@ def _prepare(
     Returns ``base`` with its Gaussian bandwidth pinned, the base's kNN
     table (one per k) or ridge system, and the pinned ``partner_spec`` with
     its ridge system (None, None without one). In order: the memory check,
-    the bandwidth, the kNN table and the ridge systems (partner, then a
-    kernel-ls base). A call that needs a ridge system the memo lacks first
-    drops the ones it does not use, so the memo holds one run's factors and
-    a sweep, whose cells come ridge-outer, builds each once per dataset.
+    the bandwidth, the partner's candidate layout, the kNN table and the
+    ridge systems (partner, then a kernel-ls base). A call that needs a
+    ridge system the memo lacks first drops the ones it does not use, so
+    the memo holds one run's factors and a sweep, whose cells come
+    ridge-outer, builds each once per dataset.
     """
     x, knn = dataset.features, base.kind == "pl-knn"
     specs = [s for s in (partner_spec, None if knn else base.kernel) if s is not None]
-    _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)))
+    systems = dataset.derived("ridge", dict)
+    unresolved = any(s.kind == "gaussian" and s.sigma is None for s in specs)
+    held = len(systems) if unresolved and "sigma" not in dataset._memo else None
+    _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)), held)
     for i, spec in enumerate(specs):
         if spec.kind == "gaussian" and spec.sigma is None:
             sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(x, spec))
             specs[i] = replace(spec, sigma=sigma)
+    if partner_spec is not None:
+        partner.candidate_layout(dataset)
     if knn:
         key = ("neighbours", base.k_neighbors)
         prepared = dataset.derived(key, lambda: base_mod.prepare(base, dataset))
-    systems = dataset.derived("ridge", dict)
     if any(spec not in systems for spec in specs):
         for stale in set(systems).difference(specs):
             del systems[stale]

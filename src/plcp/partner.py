@@ -66,15 +66,9 @@ def _objective(
     return fit_term + _coupling(o, c, config) + norm_term
 
 
-def _solve_c(
-    j: np.ndarray, o: np.ndarray, yhat: np.ndarray, config: PartnerConfig
-) -> np.ndarray:
-    if not config.aggressive:
-        return qp.solve_matrix(j, o, yhat, config.gamma)
-    # ||j - c||^2 + gamma ||o + c - 1||^2 rescales to the same row geometry
-    # with a shifted target and no trace term
-    g = config.gamma
-    return qp.solve_matrix((j + g * (1.0 - o)) / (1.0 + g), o, yhat, gamma=0.0)
+def candidate_layout(dataset: PartialLabelDataset) -> qp.CandidateLayout:
+    """The row QP's layout of the train set's candidates, from its memo."""
+    return dataset.derived("candidates", lambda: qp.candidate_layout(dataset.noncandidates))
 
 
 def fit_partner(
@@ -87,13 +81,14 @@ def fit_partner(
 
     ``system`` may carry the ridge system of the train gram under
     ``config.kernel``; it is never mutated and can be shared across
-    repeated fits on the same dataset. The model's arrays are read-only,
-    so runs can share the model too.
+    repeated fits on the same dataset, as is the memoized
+    :func:`candidate_layout`. The model's arrays are read-only, so runs can
+    share the model too.
     """
     o = np.asarray(o_supervision, float)
     if o.shape != dataset.candidates.shape:
         raise ValueError("supervision shape must match the candidate matrix")
-    yhat = dataset.noncandidates
+    yhat, layout = dataset.noncandidates, candidate_layout(dataset)
     if system is None:
         system = kernel.ridge_system(dataset.features, config.kernel)
     elif system.ridge != config.kernel.ridge:
@@ -103,8 +98,14 @@ def fit_partner(
     trace: list[float] = []
     solve = None
     c = None
+    g = config.gamma
     for _ in range(config.inner_iters):
-        c = _solve_c(j, o, yhat, config)
+        if config.aggressive:
+            # ||j - c||^2 + gamma ||o + c - 1||^2 rescales to the same row
+            # geometry with a shifted target and no trace term
+            c = qp.solve_matrix((j + g * (1.0 - o)) / (1.0 + g), o, yhat, 0.0, layout)
+        else:
+            c = qp.solve_matrix(j, o, yhat, g, layout)
         solve = kernel.kkt_solve(system, c)
         j = kernel.training_output(solve)
         trace.append(_objective(j, c, o, solve, config))

@@ -11,18 +11,25 @@ box-clipped affine map of one scalar multiplier ``nu``:
 
 The coordinate sum of ``c(nu)`` is non-increasing in ``nu``, so the
 equality constraint reduces to a monotone scalar root found by bisection,
-run on all rows at once. It works label-major, on ``(l, n)`` arrays, so a
-row's sum is l vector additions over the n rows, in label order. Below 8
-labels that is the order of a row-major sum, and ``c`` keeps its bits;
-from 8 labels NumPy's row-major sum runs pairwise, and ``c`` can differ
-from it by about 2e-13. A step runs four in-place ufuncs and a sum over one
-``(l, n)`` buffer made once a call, bit for bit ``np.clip((-g - mid) / 2,
-lo, hi)``: negation and halving are exact, and maximum-then-minimum is
-``np.clip`` to the bit, signed zeros and NaN included.
+run on all rows at once. It works label-major, so a row's sum is vector
+additions over the rows, in label order. The partner's box is
+``[yhat, 1]``: a non-candidate is pinned at 1, and only a row's |S|
+candidates are free, summing to |S| - 1. So :func:`solve_matrix` bisects
+on each row's candidates alone, from a :class:`CandidateLayout` padded to
+the widest set, ``w`` of them; ``c`` is then within about 5e-13 of the
+bisection on all l labels, which it runs when a row keeps every label.
+Below 8 labels that one keeps the bits of a row-major bisection, whose
+sum NumPy runs pairwise from 8 labels (``c`` within about 2e-13). A step
+runs three in-place ufuncs and a sum over one 64-byte-aligned ``(w, n)``
+buffer, bit for bit ``np.clip((-g - mid) / 2, lo, hi)``: it steps on
+``-g / 2`` and halved multipliers, as negation and halving are exact, and
+maximum-then-minimum is ``np.clip`` to the bit, signed zeros and NaN
+included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,37 +69,44 @@ class RowQpProblem:
             )
 
 
-def _clip_map(ng, nu, lo, hi, out=None):
-    """``np.clip((ng - nu) / 2, lo, hi)`` bit for bit, into ``out``; with
+def _clip_map(h, nu, lo, hi, out=None):
+    """``np.clip(h - nu, lo, hi)`` bit for bit, into ``out``; with
     ``np.maximum(lo, out)`` a zero would change its sign."""
-    out = np.multiply(np.subtract(ng, nu, out=out), 0.5, out=out)
+    out = np.subtract(h, nu, out=out)
     return np.minimum(np.maximum(out, lo, out=out), hi, out=out)
 
 
-def _bisect(
-    g: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizers ``c`` and multipliers ``nu`` of ``(n, l)`` row problems.
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array starting on a 64-byte line."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
 
-    The bisection runs vectorized across rows, each with its own multiplier,
-    on label-major copies; ``c`` comes back as a fresh C-contiguous array.
-    """
-    ng, lo, hi = (np.ascontiguousarray(a.T) for a in (-g, lo, hi))
+
+def _bisect(g, lo, hi, target, pad=None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizers ``c``, label-major, and multipliers ``nu`` of the row
+    problems in the columns of a label-major ``(w, n)`` linear term ``g``.
+    Bounds are scalars or ``(w, n)``, ``target`` a scalar or one per row,
+    and ``pad`` slots clip to 0 and stay out of the bracket."""
+    h = np.multiply(g, -0.5, out=_aligned_empty(g.shape))
+    if pad is not None:
+        np.putmask(h, pad, np.inf)
     # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
-    nu_lo = (ng - 2.0 * hi).min(axis=0)
-    nu_hi = (ng - 2.0 * lo).max(axis=0)
-    if not (np.isfinite(nu_lo).all() and np.isfinite(nu_hi).all()):
-        raise ValueError("row QP has a non-finite linear term or bound")
-    buf, mid, s = np.empty_like(ng), np.empty_like(nu_lo), np.empty_like(nu_lo)
+    nu_lo = (h - hi).min(axis=0)
+    if pad is not None:
+        np.putmask(h, pad, -np.inf)
+    nu_hi = (h - lo).max(axis=0)
+    buf, mid, s = _aligned_empty(h.shape), np.empty_like(nu_lo), np.empty_like(nu_lo)
     for _ in range(MAX_BISECT):
-        if (nu_hi - nu_lo).max() <= NU_TOL:
+        if (nu_hi - nu_lo).max() <= NU_TOL / 2:
             break
         np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
-        too_low = np.add.reduce(_clip_map(ng, mid, lo, hi, buf), axis=0, out=s) >= target
+        too_low = np.add.reduce(_clip_map(h, mid, lo, hi, buf), axis=0, out=s) >= target
         np.putmask(nu_lo, too_low, mid)
         np.putmask(nu_hi, ~too_low, mid)
     np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
-    return _clip_map(ng, mid, lo, hi, buf).T.copy(), mid
+    return _clip_map(h, mid, lo, hi, buf), 2.0 * mid
 
 
 def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]:
@@ -101,12 +115,12 @@ def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]
     nu_lo = float((-g - 2.0 * hi).min())
     nu_hi = float((-g - 2.0 * lo).max())
     # bracketing: sum is maximal (= sum of uppers) at nu_lo, minimal at nu_hi
-    if not _clip_map(-g, nu_lo, lo, hi).sum() >= problem.sum_target - 1e-9:
+    if not _clip_map(-g / 2, nu_lo / 2, lo, hi).sum() >= problem.sum_target - 1e-9:
         raise InvariantViolation("bracket end nu_lo gives a sum below the target")
-    if not _clip_map(-g, nu_hi, lo, hi).sum() <= problem.sum_target + 1e-9:
+    if not _clip_map(-g / 2, nu_hi / 2, lo, hi).sum() <= problem.sum_target + 1e-9:
         raise InvariantViolation("bracket end nu_hi gives a sum above the target")
-    c, nu = _bisect(g[None], lo[None], hi[None], problem.sum_target)
-    return c[0], float(nu[0])
+    c, nu = _bisect(g[:, None], lo[:, None], hi[:, None], problem.sum_target)
+    return c[:, 0], float(nu[0])
 
 
 def kkt_residual(problem: RowQpProblem, c: np.ndarray, nu: float) -> float:
@@ -135,21 +149,58 @@ def kkt_residual(problem: RowQpProblem, c: np.ndarray, nu: float) -> float:
     return residual
 
 
+@dataclass(frozen=True)
+class CandidateLayout:
+    """Column ``i`` of the ``(w, n)`` ``index`` holds the flat ``(n, l)``
+    indices of row ``i``'s candidates in label order, then, in its ``pad``
+    slots, of its first non-candidates; ``target`` is each row's |S| - 1."""
+
+    index: np.ndarray
+    pad: np.ndarray
+    target: np.ndarray
+
+
+def candidate_layout(yhat: np.ndarray) -> CandidateLayout:
+    """The layout of the candidates (zeros) of a 0/1 non-candidate mask."""
+    yhat = np.asarray(yhat, float)
+    if not np.isin(yhat, (0, 1)).all():
+        raise ValueError("yhat must be a 0/1 matrix")
+    counts = (yhat == 0).sum(axis=1)
+    if not counts.all():
+        raise ValueError("infeasible row: non-candidate mass exceeds l - 1")
+    # a stable sort puts each row's candidates first, both parts in label order
+    order = np.argsort(yhat, axis=1, kind="stable")[:, : counts.max()]
+    index = (order + yhat.shape[1] * np.arange(len(yhat))[:, None]).T.copy()
+    layout = CandidateLayout(index, np.arange(len(index))[:, None] >= counts, counts - 1.0)
+    for array in (layout.index, layout.pad, layout.target):
+        array.flags.writeable = False
+    return layout
+
+
 def solve_matrix(
-    j: np.ndarray, o: np.ndarray, yhat: np.ndarray, gamma: float
+    j: np.ndarray, o: np.ndarray, yhat: np.ndarray, gamma: float,
+    layout: CandidateLayout | None = None,
 ) -> np.ndarray:
     """Solve every row problem of the auxiliary-confidence update at once.
 
     Row ``i`` minimizes ``c^T c + (gamma * o_i - 2 * j_i)^T c`` over the box
-    ``[yhat_i, 1]`` with coordinate sum ``l - 1``. Non-finite input raises
-    ``ValueError`` before any step; ``c`` comes back as a fresh array.
+    ``[yhat_i, 1]`` with coordinate sum ``l - 1``, for a 0/1 ``yhat`` whose
+    :func:`candidate_layout` is ``layout`` (built here when None). Non-finite
+    input raises ``ValueError`` before any step; ``c`` comes back as a fresh
+    array.
     """
     j, o, yhat = np.asarray(j, float), np.asarray(o, float), np.asarray(yhat, float)
     if not j.shape == o.shape == yhat.shape:
         raise ValueError("j, o, yhat must share one shape")
-    l = j.shape[1]
+    layout = candidate_layout(yhat) if layout is None else layout
     g = gamma * o - 2.0 * j
-    target = float(l - 1)
-    if (yhat.sum(axis=1) > target + 1e-12).any():
-        raise ValueError("infeasible row: non-candidate mass exceeds l - 1")
-    return _bisect(g, yhat, np.ones_like(g), target)[0]
+    if not np.isfinite(g).all():
+        raise ValueError("row QP has a non-finite linear term")
+    l = j.shape[1]
+    if len(layout.index) == l:
+        return _bisect(g.T, np.ascontiguousarray(yhat.T), 1.0, l - 1.0)[0].T.copy()
+    c = _bisect(g.take(layout.index), 0.0, 1.0, layout.target, layout.pad)[0]
+    np.putmask(c, layout.pad, 1.0)
+    out = np.ones_like(g)
+    out.put(layout.index, c)
+    return out

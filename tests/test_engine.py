@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from plcp import base as base_mod
-from plcp import cli, engine, kernel, partner
+from plcp import cli, engine, kernel, partner, qp
 from plcp.base import BaseClassifierKind
 from plcp.core import InvariantViolation, PartialLabelDataset, init_confidence
 from plcp.data import SyntheticSpec, generate_synthetic, split
@@ -456,6 +456,18 @@ class TestGammaZeroPartner:
                 assert a.truth_confidence.tobytes() == b.truth_confidence.tobytes()
                 assert a.max_false_confidence.tobytes() == b.max_false_confidence.tobytes()
 
+    def test_candidate_layout_built_once_per_train_set(self, monkeypatch):
+        builds = count_calls(monkeypatch, qp, "candidate_layout")
+        ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=9, flip_q=0.4, seed=31))
+        train, test = split(ds, 0.5, seed=32)
+        run_base_alone(train, test.features, BaseClassifierKind())
+        assert builds == []
+        for gamma in (0.0, 2.0):
+            config = EngineConfig(max_iter=2, partner=PartnerConfig(gamma=gamma))
+            run_plcp(train, test.features, config)
+        assert len(builds) == 1
+        assert len(partner.candidate_layout(train).index) < 9
+
     def test_cached_partner_c_survives_later_fits(self):
         # the row QP returns a fresh array a fit, so no later fit on the
         # train set can write into the c that the memo keeps
@@ -500,6 +512,26 @@ class TestMemoryCheck:
         )
         with pytest.raises(MemoryError, match="2 ridge system"):
             run_plcp(ds, ds.features[:7], lambda_cell)
+
+    def test_bandwidth_distances_count_beside_held_factors(self, monkeypatch):
+        # a linear run leaves its 2.4 MiB factor in the memo, and the next
+        # run's Gaussian bandwidth builds 2.4 MiB of pairwise distances
+        # beside it: 4 MiB holds that run's factor phase, but not its setup
+        memory = [16 << 20]
+        monkeypatch.setattr(engine, "_physical_memory", lambda: memory[0])
+        ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
+        linear = EngineConfig(partner=PartnerConfig(kernel=KernelSpec(kind="linear")), max_iter=1)
+        run_plcp(ds, ds.features[:7], linear)
+        memory[0] = 4 << 20
+        grams = count_calls(monkeypatch, kernel, "packed_gram")
+        sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
+        searches = count_calls(monkeypatch, base_mod, "neighbour_table")
+        message = r"2 MiB for 1 ridge system.* 5 MiB for the bandwidth's .* beside 1 held"
+        with pytest.raises(MemoryError, match=message):
+            run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
+        assert grams == [] and sigmas == [] and searches == []
+        run_plcp(fresh_copy(ds), ds.features[:7], EngineConfig(max_iter=1))
+        assert len(grams) == 1
 
     def test_linear_system_counts_the_whole_gram_it_is_packed_from(self, monkeypatch):
         # one packed factor of 800 rows is 2.4 MiB; a linear one is packed

@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 
-from plcp import qp
+from plcp import partner, qp
 from plcp.core import InvariantViolation, PartialLabelDataset
 from plcp.kernel import (
     KernelSolve,
@@ -162,6 +162,23 @@ class TestFitPartner:
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("aggressive", [False, True])
+    def test_fits_on_one_train_set_share_its_layout(self, monkeypatch, aggressive):
+        builds, layouts = [], []
+        build, solve = qp.candidate_layout, qp.solve_matrix
+        monkeypatch.setattr(qp, "candidate_layout", lambda yhat: builds.append(yhat) or build(yhat))
+        monkeypatch.setattr(
+            qp, "solve_matrix", lambda *args: layouts.append(args[4]) or solve(*args)
+        )
+        dataset = random_dataset(np.random.default_rng(6), l=9)
+        config = PartnerConfig(aggressive=aggressive)
+        o = uniform_supervision(dataset)
+        first, second = (fit_partner(dataset, o, config) for _ in range(2))
+        assert len(builds) == 1 and len(layouts) >= 2
+        assert all(layout is partner.candidate_layout(dataset) for layout in layouts)
+        assert len(layouts[0].index) < 9  # the candidate-only path runs
+        assert first.c.tobytes() == second.c.tobytes()
 
     def test_system_ridge_must_match_config(self):
         rng = np.random.default_rng(1)

@@ -107,6 +107,45 @@ def allocating_bisection(
     return np.ascontiguousarray(_clip_map(nu, g, lo, hi).T), nu
 
 
+def allocating_layout_bisection(g: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """``allocating_bisection`` on each row's candidate coordinates only, the
+    byte oracle of ``solve_matrix`` when no row keeps every label.
+
+    Row ``i``'s candidates, in label order, fill column ``i`` of a
+    label-major ``(w, n)`` array padded with zeros that stay out of the
+    bracket and the clip; its target is its candidate count less one, and
+    its non-candidates come back as 1.
+    """
+    n, l = g.shape
+    columns = [np.flatnonzero(row == 0) for row in yhat]
+    width = max(len(cols) for cols in columns)
+    real, cand_g = np.zeros((width, n), bool), np.zeros((width, n))
+    for i, cols in enumerate(columns):
+        real[: len(cols), i] = True
+        cand_g[: len(cols), i] = g[i, cols]
+    target = real.sum(axis=0) - 1.0
+    nu_lo = np.where(real, -cand_g - 2.0, np.inf).min(axis=0)
+    nu_hi = np.where(real, -cand_g, -np.inf).max(axis=0)
+    for _ in range(MAX_BISECT):
+        if (nu_hi - nu_lo).max() <= NU_TOL:
+            break
+        mid = 0.5 * (nu_lo + nu_hi)
+        too_low = np.where(real, _clip_map(mid, cand_g, 0.0, 1.0), 0.0).sum(axis=0) >= target
+        nu_lo = np.where(too_low, mid, nu_lo)
+        nu_hi = np.where(too_low, nu_hi, mid)
+    c = _clip_map(0.5 * (nu_lo + nu_hi), cand_g, 0.0, 1.0)
+    out = np.ones((n, l))
+    for i, cols in enumerate(columns):
+        out[i, cols] = c[: len(cols), i]
+    return out
+
+
+def label_major_bisect(g, lo, hi, target):
+    """``qp._bisect`` on ``(n, l)`` rows, with ``c`` back in ``(n, l)``."""
+    c, nu = qp._bisect(*(np.ascontiguousarray(a.T) for a in (g, lo, hi)), target)
+    return np.ascontiguousarray(c.T), nu
+
+
 # three rows at l = 5 (inputs of solve_matrix at gamma 2) on which a
 # reverse-order label sum changes c; found among 200,000 random_rows rows
 NEAR_TIE_J = (
@@ -280,30 +319,56 @@ class TestSolveMatrix:
         np.testing.assert_array_equal(labels_from_output(out), labels_from_output(expected))
 
     def test_label_sum_order_on_near_tie_rows(self):
-        # rows whose clip-map sum comes so close to l - 1 during the bisection
-        # that the label order of the sum decides a comparison (about 1 in
-        # 2000 random rows at l = 5): a reverse-order sum moves c by ~4e-13
+        # rows whose clip-map sum over all l labels comes so close to l - 1
+        # during the bisection that the label order of the sum decides a
+        # comparison (about 1 in 2000 random rows at l = 5): a reverse-order
+        # sum moves c by ~4e-13. No row keeps every label, so solve_matrix
+        # bisects on their candidates only
         j = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_J])
         o = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_O])
         yhat = np.array(NEAR_TIE_YHAT, float)
         for rows in (slice(None), *([i] for i in range(len(j)))):
-            out = solve_matrix(j[rows], o[rows], yhat[rows], gamma=2.0)
-            g, hi = 2.0 * o[rows] - 2.0 * j[rows], np.ones_like(out)
+            g = 2.0 * o[rows] - 2.0 * j[rows]
+            hi = np.ones_like(g)
             expected = row_major_bisection(g, yhat[rows], hi, 4.0)
-            assert out.tobytes() == expected.tobytes()
-            c, nu = qp._bisect(g, yhat[rows], hi, 4.0)
+            c, nu = label_major_bisect(g, yhat[rows], hi, 4.0)
             expected_c, expected_nu = allocating_bisection(g, yhat[rows], hi, 4.0)
-            assert c.tobytes() == expected_c.tobytes() == out.tobytes()
+            assert c.tobytes() == expected_c.tobytes() == expected.tobytes()
             assert nu.tobytes() == expected_nu.tobytes()
+            out = solve_matrix(j[rows], o[rows], yhat[rows], gamma=2.0)
+            assert out.tobytes() == allocating_layout_bisection(g, yhat[rows]).tobytes()
 
     @pytest.mark.parametrize("l", [*range(1, 9), 30, 171])
     def test_bytes_match_allocating_bisection(self, l):
+        # solve_matrix keeps the dense bisection's bytes while a row keeps
+        # every label, and the candidate-only oracle's bytes once none does
         j, o, yhat = random_rows(np.random.default_rng(400 + l), 200, l)
         g, hi = 2.0 * o - 2.0 * j, np.ones((200, l))
-        c, nu = qp._bisect(g, yhat, hi, l - 1.0)
+        c, nu = label_major_bisect(g, yhat, hi, l - 1.0)
         expected_c, expected_nu = allocating_bisection(g, yhat, hi, l - 1.0)
         assert c.tobytes() == expected_c.tobytes() and nu.tobytes() == expected_nu.tobytes()
+        dense = (yhat == 0).all(axis=1).any()
+        assert dense == (l <= 8)
+        if not dense:
+            expected_c = allocating_layout_bisection(g, yhat)
         assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected_c.tobytes()
+
+    @pytest.mark.parametrize("l, candidates", [(9, 4.0), (30, 9.7), (171, 2.1)])
+    def test_layout_bytes_match_candidate_oracle(self, l, candidates):
+        # 9.7 and 2.1 candidates a row are the sweep-l30 bench's and the
+        # paper's data shapes; a given layout and a built one agree
+        rng = np.random.default_rng(700 + l)
+        j, o = rng.normal(size=(300, l)), rng.random((300, l))
+        yhat = (rng.random((300, l)) >= (candidates - 1.0) / (l - 1.0)).astype(float)
+        yhat[np.arange(300), rng.integers(l, size=300)] = 0.0
+        layout = qp.candidate_layout(yhat)
+        assert len(layout.index) < l
+        expected = allocating_layout_bisection(2.0 * o - 2.0 * j, yhat)
+        assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected.tobytes()
+        assert solve_matrix(j, o, yhat, 2.0, layout).tobytes() == expected.tobytes()
+        dense = row_major_bisection(2.0 * o - 2.0 * j, yhat, np.ones_like(yhat), l - 1.0)
+        np.testing.assert_allclose(expected, dense, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(labels_from_output(expected), labels_from_output(dense))
 
     def test_clip_map_is_np_clip_on_signed_zeros(self):
         # every (value, lower) pair of signed zeros and NaN, over 33 entries so
@@ -312,12 +377,12 @@ class TestSolveMatrix:
         # opposite sign
         values = np.array([0.0, -0.0, np.nan, 0.25])
         pairs = np.array(list(itertools.product(values, [0.0, -0.0, np.nan])))
-        ng, lo = (np.resize(pairs[:, i], 33) for i in (0, 1))
+        h, lo = (np.resize(pairs[:, i], 33) for i in (0, 1))
         hi = np.ones(33)
-        expected = np.clip((ng - 0.0) / 2.0, lo, hi)
-        assert qp._clip_map(ng, 0.0, lo, hi).tobytes() == expected.tobytes()
+        expected = np.clip(h - 0.0, lo, hi)
+        assert qp._clip_map(h, 0.0, lo, hi).tobytes() == expected.tobytes()
         out = np.empty(33)
-        assert qp._clip_map(ng, 0.0, lo, hi, out) is out
+        assert qp._clip_map(h, 0.0, lo, hi, out) is out
         assert out.tobytes() == expected.tobytes()
         assert np.signbit(out[:2]).tolist() == [False, True]
 
@@ -352,6 +417,26 @@ class TestSolveMatrix:
             solve_matrix(**inputs)
         assert steps == []
 
+    @pytest.mark.parametrize(
+        "where, value", itertools.product(["j", "o"], [np.nan, np.inf, -np.inf])
+    )
+    def test_non_finite_non_candidate_raises_before_bisecting(self, monkeypatch, where, value):
+        # the candidate-only bisection never reads a non-candidate entry
+        steps = []
+        step = qp._clip_map
+        monkeypatch.setattr(qp, "_clip_map", lambda *args: steps.append(args) or step(*args))
+        inputs = dict(zip(["j", "o", "yhat"], random_rows(np.random.default_rng(8), 6, 9)))
+        layout = qp.candidate_layout(inputs["yhat"])
+        assert len(layout.index) < 9
+        solve_matrix(**inputs, gamma=2.0, layout=layout)
+        assert steps  # the probe sees the steps of a finite call
+        steps.clear()
+        row, col = np.argwhere(inputs["yhat"] == 1)[0]
+        inputs[where][row, col] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_matrix(**inputs, gamma=2.0, layout=layout)
+        assert steps == []
+
     def test_zero_hot_limit(self):
         rng = np.random.default_rng(33)
         o = rng.random((20, 5))
@@ -361,6 +446,54 @@ class TestSolveMatrix:
             expected = np.ones(5)
             expected[np.argmax(o[i])] = 0.0
             np.testing.assert_allclose(out[i], expected, atol=1e-3)
+
+
+class TestCandidateLayout:
+    def test_hand_built_rows_of_one_several_and_all_candidates(self):
+        # candidates {2}, {0, 3} and all four labels: each row's candidates
+        # in label order, then its first non-candidates in the pad slots
+        yhat = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]], float)
+        layout = qp.candidate_layout(yhat)
+        assert layout.index.T.tolist() == [[2, 0, 1, 3], [4, 7, 5, 6], [8, 9, 10, 11]]
+        assert layout.pad.T.tolist() == [
+            [False, True, True, True], [False, False, True, True], [False] * 4
+        ]
+        assert layout.target.tolist() == [0.0, 1.0, 3.0]
+        assert not any(a.flags.writeable for a in (layout.index, layout.pad, layout.target))
+        narrow = qp.candidate_layout(yhat[:2])
+        assert narrow.index.T.tolist() == [[2, 0], [4, 7]]
+        assert narrow.pad.T.tolist() == [[False, True], [False, False]]
+        assert (yhat[:2].ravel()[narrow.index[narrow.pad]] == 1).all()
+
+    def test_scatter_fills_non_candidates_with_one(self):
+        yhat = np.array([[1, 1, 0, 1], [0, 1, 1, 0]], float)
+        j = np.array([[0.3, -0.2, 0.1, 0.5], [0.2, 0.4, -0.1, 0.0]])
+        out = solve_matrix(j, np.zeros_like(j), yhat, gamma=0.0)
+        # one candidate: it takes 0; two at j = 0.2 and 0.0: 0.6 and 0.4
+        np.testing.assert_allclose(out, [[1.0, 1.0, 0.0, 1.0], [0.6, 1.0, 1.0, 0.4]], atol=1e-12)
+        assert (out[yhat == 1] == 1.0).all()
+        assert out.flags.c_contiguous and out.flags.owndata
+
+    @pytest.mark.parametrize(
+        "yhat, match",
+        [([[0, 0.5, 1]], "0/1"), ([[0, np.nan, 1]], "0/1"), ([[0, 1], [1, 1]], "infeasible")],
+    )
+    def test_rejected_masks(self, yhat, match):
+        with pytest.raises(ValueError, match=match):
+            qp.candidate_layout(np.array(yhat, float))
+        with pytest.raises(ValueError, match=match):
+            solve_matrix(np.zeros_like(yhat, float), np.zeros_like(yhat, float), yhat, 2.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (7, 0), (1, 1), (1, 13), (3, 7), (5, 2001)])
+def test_aligned_empty_starts_on_a_64_byte_line(shape):
+    arrays = [qp._aligned_empty(shape) for _ in range(16)]
+    for a in arrays:
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.size == 0 or a.ctypes.data % 64 == 0
+        a[...] = 1.5
+    assert all((a == 1.5).all() for a in arrays)
 
 
 @settings(max_examples=150, deadline=None)
