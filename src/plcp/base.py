@@ -88,6 +88,16 @@ def neighbour_table(
     return table
 
 
+def neighbour_mean(supervision: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``supervision[table].mean(axis=1)`` without its (n, k, l) temporary, a
+    running sum over the k neighbour columns divided by k: the same bits from
+    two labels on (at one label NumPy sums the k neighbours pairwise)."""
+    total = supervision[table[:, 0]]
+    for column in table.T[1:]:
+        total += supervision[column]
+    return total / table.shape[1]
+
+
 def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
     """What every fit of ``kind`` on ``dataset`` shares.
 
@@ -134,11 +144,11 @@ def fit_predict_base(
     if kind.kind == "pl-knn":
         # prepare() keeps k below the sample count, so every query row
         # finds its k neighbours among the train rows
-        train_output = supervision[prepared].mean(axis=1) * dataset.candidates
+        train_output = neighbour_mean(supervision, prepared) * dataset.candidates
         if query is None:
             return train_output, None
         table = neighbour_table(query, dataset.features, kind.k_neighbors)
-        return train_output, supervision[table].mean(axis=1)
+        return train_output, neighbour_mean(supervision, table)
     solve = kernel.kkt_solve(prepared, supervision)
     if query is None:
         return solve.fitted, None

@@ -35,7 +35,7 @@ class PartialLabelDataset:
 
     Attributes
     ----------
-    features : (n, d) float array
+    features : (n, d) float array with at least one row.
     candidates : (n, l) 0/1 array, each row marking the candidate set.
         Every row must contain at least one candidate.
     ground_truth : optional (n,) labels in [0, l), kept as ints; a label
@@ -64,6 +64,8 @@ class PartialLabelDataset:
         object.__setattr__(self, "candidates", y)
         if x.ndim != 2 or y.ndim != 2:
             raise ValueError("features and candidates must be 2-D matrices")
+        if x.shape[0] == 0:
+            raise ValueError("a dataset needs at least one sample")
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"features has {x.shape[0]} rows but candidates has {y.shape[0]}"

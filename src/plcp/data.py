@@ -114,11 +114,13 @@ def _load_csv(path: str | Path, what: str) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
+    with open(path, "rb") as fh:
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"empty {what} CSV {path}: no rows")
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"malformed {what} CSV {path}: {exc}") from exc
-    return data
 
 
 def load_dataset(

@@ -9,20 +9,14 @@ fall below the threshold, and always within ``max_iter`` rounds. Test
 predictions come from the partner of the final iteration.
 
 Each run starts with one setup step: a check that the run fits in
-physical memory, then what depends only on the train set, from its memo:
+physical memory (:func:`_check_memory`), then what depends only on the
+train set, from its memo:
 the Gaussian bandwidth, the row QP's candidate layout, the PL-KNN
 neighbour table and each ridge system. So the base-alone run and every
 coupled run and round on one dataset object build each once. The partner fit at gamma 0,
 which never reads its supervision, is memoized too. Both runs take the
 base's outputs from :func:`base.fit_predict_base`, whose one fit answers
 the train rows and, when asked, the test rows.
-
-The memory check counts one packed triangle of n_train(n_train+1)/2
-float64 entries per ridge system (the factor), each built from a gram of
-its own, and one block of test rows of the test-by-train kernel matrix; a
-linear kernel's factor is packed from a whole n_train x n_train gram. A
-bandwidth still to resolve adds the phase before the first factor, when
-its condensed pairwise distances sit beside the factors the memo holds.
 """
 
 from __future__ import annotations
@@ -168,29 +162,23 @@ def _check_memory(
     """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
 
     The estimate counts what grows with n_train squared: one packed factor
-    of n_train(n_train+1)/2 entries per ridge system of ``specs``, the whole
-    n_train x n_train gram a linear kernel's factor is packed from, and the
-    largest block of test rows of the kernel matrix. Unless ``held`` is None,
+    of n_train(n_train+1)/2 entries per ridge system of ``specs`` and one
+    block of test rows of the kernel matrix. Unless ``held`` is None,
     the Gaussian bandwidth is still to be resolved: its condensed distances,
     n_train(n_train-1)/2 entries, are alive before the first factor, beside
     the ``held`` factors the memo keeps until then, and the estimate is the
     larger of the two phases.
     """
-    block_rows = max(
-        rows.stop - rows.start for rows in kernel.query_blocks(n_test, n_train, n_labels)
-    )
     triangle = n_train * (n_train + 1) // 2
-    linear = any(spec.kind == "linear" for spec in specs)
-    estimate = 8 * (len(specs) * triangle + linear * n_train * n_train + n_train * block_rows)
+    block = min(n_test, kernel.block_rows(n_train))
+    estimate = 8 * (len(specs) * triangle + n_train * block)
     bandwidth = 0 if held is None else 8 * (held * triangle + n_train * (n_train - 1) // 2)
     memory = _physical_memory()
     if max(estimate, bandwidth) > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
             f"about {estimate / 2**20:.0f} MiB for {len(specs)} ridge system(s) of "
-            f"{n_train}x{n_train}, each a packed triangle, "
-            + ("the whole linear gram it is packed from, " if linear else "")
-            + "and one block of test rows, "
+            f"{n_train}x{n_train}, each a packed triangle, and one block of test rows, "
             + (f"or {bandwidth / 2**20:.0f} MiB for the bandwidth's pairwise distances "
                f"beside {held} held ridge system(s), " if held is not None else "")
             + f"but physical memory is {memory / 2**20:.0f} MiB"

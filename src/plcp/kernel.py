@@ -21,8 +21,8 @@ rectangular full packed (RFP) form: LAPACK's layout of one triangle in
 n(n+1)/2 doubles that its level-3 ``pftrf``/``pftrs`` factor and solve
 (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010).
 :func:`packed_gram` fills that buffer with the gram's lower triangle, in
-blocks of rows for the Gaussian kernel, and :func:`ridge_system` turns it
-into ``B`` and then into its factor without a copy. The one-off
+blocks of rows, and :func:`ridge_system` turns it into ``B`` and then
+into its factor without a copy. The one-off
 :func:`kkt_solve` on a given gram packs a copy and takes the same path.
 Query rows are predicted one block at a time (:func:`predict_query`), so
 no query-by-train kernel matrix is alive beside the factor.
@@ -150,28 +150,32 @@ _BLOCK_ENTRIES = 1 << 17
 
 def block_rows(width: int) -> int:
     """Rows per block of a loop over rows ``width`` entries wide: the
-    neighbour search's distance rows and :func:`packed_gram`'s kernel rows."""
+    neighbour search's distance rows, :func:`packed_gram`'s kernel rows and
+    :func:`predict_query`'s query rows."""
     return max(1, _BLOCK_ENTRIES // width)
 
 
+def _pairwise(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    """The rows' inner products (linear) or squared distances (Gaussian)."""
+    return a @ b.T if kind == "linear" else cdist(a, b, "sqeuclidean")
+
+
 def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """The lower triangle of ``gram_matrix(x, spec)``, bit for bit, in RFP
-    form (TRANSR='N', UPLO='L'): n(n+1)/2 doubles, the shape of
-    ``dtrttf``'s output.
+    """The lower triangle of ``gram_matrix(x, spec)`` in RFP form
+    (TRANSR='N', UPLO='L'): n(n+1)/2 doubles, the shape of ``dtrttf``'s
+    output.
 
     Seen as a Fortran-order array with ``k = ceil(n/2)`` columns and
     ``n + 1 - n % 2`` rows, column ``c`` holds the gram's lower column
     ``K[c:, c]`` at its bottom and, above it, row ``c - n % 2`` of the
-    lower triangle of the trailing square ``K[k:, k:]``. The Gaussian gram
-    is written in blocks of rows of ``cdist``, whose entries are those of
-    the whole matrix, so no n x n temporary exists. A linear gram's block
-    products need not keep the bits of ``x @ x.T``, so it is packed from
-    the whole matrix.
+    lower triangle of the trailing square ``K[k:, k:]``. The gram is
+    written in blocks of rows, so no n x n temporary exists. A Gaussian
+    block comes from ``cdist``, whose entries are those of the whole
+    matrix, bit for bit; a linear block product may differ from
+    ``x @ x.T`` in the last bits.
     """
-    if spec.kind == "linear":
-        return dtrttf(gram_matrix(x, spec), uplo="L")[0]
     x = _finite(x)
-    sigma = resolve_sigma(x, spec)
+    sigma = None if spec.kind == "linear" else resolve_sigma(x, spec)
     n = x.shape[0]
     k, even = (n + 1) // 2, 1 - n % 2
     packed = np.empty(n * (n + 1) // 2)
@@ -182,14 +186,14 @@ def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     for a in range(k, n, step):
         b = min(a + step, n)
         rows = slice(a - k + 1 - even, b - k + 1 - even)
-        columns[rows, : n - k] = cdist(x[a:b], x[k:], "sqeuclidean")
+        columns[rows, : n - k] = _pairwise(x[a:b], x[k:], spec.kind)
     for a in range(0, k, step):
         b = min(a + step, k)
-        block = cdist(x[a:b], x[a:], "sqeuclidean")  # K[a:b, a:] = K[a:, a:b].T
+        block = _pairwise(x[a:b], x[a:], spec.kind)  # K[a:b, a:] = K[a:, a:b].T
         target = columns[a:b, a + even :]
         target[:, b - a :] = block[:, b - a :]
         np.copyto(target[:, : b - a], block[:, : b - a], where=np.tri(b - a, dtype=bool).T)
-    return _gaussian(packed, sigma)
+    return packed if sigma is None else _gaussian(packed, sigma)
 
 
 def _packed_diagonal(n: int) -> np.ndarray:
@@ -277,41 +281,19 @@ def predict(model: KernelSolve, k_cross: np.ndarray) -> np.ndarray:
     return k_cross @ model.dual_coeffs / (2.0 * model.ridge) + model.bias
 
 
-# Multiply-adds below which OpenBLAS may switch to a small-matrix kernel
-# whose sums differ in the last bits from those of its blocked kernel.
-_MIN_BLOCK_PRODUCT = 1 << 21
-
-
-def query_blocks(n_query: int, n_train: int, n_outputs: int) -> list[slice]:
-    """Even blocks of query rows for the product of a cross matrix and
-    ``n_outputs`` dual columns, each large enough to keep its bits.
-
-    Every block of two or more holds at least ``_MIN_BLOCK_PRODUCT``
-    multiply-adds, so it goes through the same BLAS kernel as the whole
-    product and gives bit-identical rows. A single output column is a
-    matrix-vector product, whose sums depend on the row count, so it stays
-    in one block.
-    """
-    count = 1
-    if n_outputs >= 2 and n_train > 0:
-        rows = -(-_MIN_BLOCK_PRODUCT // (n_train * n_outputs))
-        count = max(1, n_query // rows)
-    size, extra = divmod(n_query, count)
-    bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def predict_query(
     model: KernelSolve, x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec
 ) -> np.ndarray:
-    """``predict(model, cross_matrix(x_query, x_train, spec))``, bit for bit,
-    with only one block of query rows of the cross matrix alive at a time."""
+    """``predict(model, cross_matrix(x_query, x_train, spec))`` up to the last
+    bits, with one block of :func:`block_rows` query rows of the cross
+    matrix alive at a time."""
     x_query, x_train = np.asarray(x_query, float), np.asarray(x_train, float)
     if spec.kind == "gaussian" and spec.sigma is None:
         spec = replace(spec, sigma=resolve_sigma(x_train, spec))
-    n_outputs = model.dual_coeffs.shape[1]
-    out = np.empty((x_query.shape[0], n_outputs))
-    for rows in query_blocks(x_query.shape[0], x_train.shape[0], n_outputs):
+    out = np.empty((x_query.shape[0], model.dual_coeffs.shape[1]))
+    step = block_rows(x_train.shape[0])
+    for start in range(0, x_query.shape[0], step):
+        rows = slice(start, start + step)
         out[rows] = predict(model, cross_matrix(x_query[rows], x_train, spec))
     return out
 

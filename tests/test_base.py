@@ -7,6 +7,7 @@ from plcp.base import (
     BaseClassifierKind,
     binarize_supervision,
     fit_predict_base,
+    neighbour_mean,
     neighbour_table,
     prepare,
 )
@@ -74,6 +75,13 @@ class TestPlKnn:
         np.testing.assert_array_equal(m, fit_predict_base(kind, ds, supervision)[0])
         table = stable_argsort_table(query, ds.features, 7)
         np.testing.assert_array_equal(out, supervision[table].mean(axis=1))
+
+    @pytest.mark.parametrize("n, k, l", [(2000, 10, 5), (300, 10, 30), (2000, 10, 171), (50, 7, 3)])
+    def test_neighbour_mean_keeps_the_bytes_of_the_gathered_mean(self, n, k, l):
+        rng = np.random.default_rng(n + k + l)
+        supervision, table = rng.random((n, l)), rng.integers(n, size=(n, k))
+        expected = supervision[table].mean(axis=1)
+        assert neighbour_mean(supervision, table).tobytes() == expected.tobytes()
 
 
 def grid_points(rng, rows):
@@ -161,19 +169,20 @@ class TestKernelLs:
         assert m.shape == (8, 3) and out.shape == (5, 3)
 
     def test_query_rows_equal_the_unblocked_product(self):
-        # l=30 at 200 train rows splits 1000 query rows into several blocks
+        # 1000 query rows at 200 train rows make two blocks; the blocked rows
+        # repeat to the bit and match one whole product to its last bits
         rng = np.random.default_rng(14)
         ds = PartialLabelDataset(rng.normal(size=(200, 3)), np.ones((200, 30)))
         query = rng.normal(size=(1000, 3))
-        assert len(kernel.query_blocks(1000, 200, 30)) > 1
+        assert 1000 > kernel.block_rows(200)
         supervision = rng.random((200, 30))
         kind = BaseClassifierKind(kind="kernel-ls")
         m, out = fit_predict_base(kind, ds, supervision, query=query)
+        assert out.tobytes() == fit_predict_base(kind, ds, supervision, query=query)[1].tobytes()
         solve = kernel.kkt_solve(kernel.ridge_system(ds.features, kind.kernel), supervision)
         np.testing.assert_array_equal(m, solve.fitted)
-        np.testing.assert_array_equal(
-            out, kernel.predict(solve, kernel.cross_matrix(query, ds.features, kind.kernel))
-        )
+        whole = kernel.predict(solve, kernel.cross_matrix(query, ds.features, kind.kernel))
+        np.testing.assert_allclose(out, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())
 
 
 class TestBinarize:

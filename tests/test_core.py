@@ -23,6 +23,10 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="row 1"):
             make_dataset([[1, 0], [0, 0]])
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            PartialLabelDataset(np.zeros((0, 2)), np.zeros((0, 3)))
+
     def test_truth_outside_candidates_rejected(self):
         with pytest.raises(ValueError, match="outside candidate"):
             make_dataset([[1, 0], [0, 1]], truth=[1, 1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,17 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", tmp_path / "nope2.csv")
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    @pytest.mark.parametrize("what", ["features", "candidates"])
+    def test_empty_csv_named_before_loadtxt_warns(self, tmp_path, what, text):
+        np.savetxt(tmp_path / "features.csv", np.zeros((3, 2)), delimiter=",")
+        np.savetxt(tmp_path / "candidates.csv", np.ones((3, 2)), delimiter=",")
+        (tmp_path / f"{what}.csv").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"empty {what} CSV .*{what}.csv"):
+                load_dataset(tmp_path / "features.csv", tmp_path / "candidates.csv")
 
     def test_malformed_csv(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0,banana\n")

@@ -18,7 +18,6 @@ from plcp.kernel import (
     packed_gram,
     predict,
     predict_query,
-    query_blocks,
     resolve_sigma,
     ridge_system,
     training_output,
@@ -212,26 +211,21 @@ class TestPredict:
             predict(solve, np.zeros((2, 4)))
 
 
-def min_block_rows(n_train, l):
-    return -(-kernel._MIN_BLOCK_PRODUCT // (n_train * l))
-
-
 class TestQueryBlocks:
     @pytest.mark.parametrize(
         "n_train, n_test, l",
         [
             (2000, 2003, 5),
             (300, 300, 30),
-            # one block plus one row stays one block; two blocks plus one
-            # row give the smallest blocks there are
-            (2000, min_block_rows(2000, 5) + 1, 5),
-            (2000, 2 * min_block_rows(2000, 5) + 1, 5),
-            (2000, 2 * min_block_rows(2000, 2) + 1, 2),
+            # one block, one block plus one row, two blocks plus one row
+            (2000, kernel.block_rows(2000), 5),
+            (2000, kernel.block_rows(2000) + 1, 5),
+            (2000, 2 * kernel.block_rows(2000) + 1, 2),
             (600, 2003, 30),
             (2000, 700, 1),
         ],
     )
-    def test_blocked_prediction_bit_equal_to_one_product(self, n_train, n_test, l):
+    def test_blocked_prediction_repeats_and_matches_one_product(self, n_train, n_test, l):
         rng = np.random.default_rng(n_train + n_test + l)
         x, x_test = rng.normal(size=(n_train, 8)), rng.normal(size=(n_test, 8))
         solve = KernelSolve(
@@ -242,7 +236,9 @@ class TestQueryBlocks:
         )
         spec = KernelSpec(sigma=float(pdist(x[:200]).mean()))
         got = predict_query(solve, x_test, x, spec)
-        np.testing.assert_array_equal(got, predict(solve, cross_matrix(x_test, x, spec)))
+        assert got.tobytes() == predict_query(solve, x_test, x, spec).tobytes()
+        whole = predict(solve, cross_matrix(x_test, x, spec))
+        np.testing.assert_allclose(got, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())
 
     def test_unpinned_sigma_resolved_from_the_train_rows(self):
         rng = np.random.default_rng(5)
@@ -255,15 +251,23 @@ class TestQueryBlocks:
 
     @pytest.mark.parametrize("n_query", [0, 1, 209, 210, 419, 420, 421, 2003, 10**5])
     @pytest.mark.parametrize("n_train, l", [(2000, 5), (60, 3), (2000, 1)])
-    def test_blocks_tile_the_rows_and_stay_large(self, n_query, n_train, l):
-        blocks = query_blocks(n_query, n_train, l)
-        assert blocks[0].start == 0 and blocks[-1].stop == n_query
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        sizes = [rows.stop - rows.start for rows in blocks]
-        assert max(sizes) - min(sizes) <= 1
-        if len(blocks) > 1:
-            assert min(sizes) * n_train * l >= kernel._MIN_BLOCK_PRODUCT
-            assert l >= 2
+    def test_blocks_tile_the_rows_and_stay_large(self, monkeypatch, n_query, n_train, l):
+        # every block but the last holds block_rows(n_train) query rows, so
+        # one block of the cross matrix is about 1 MiB however many rows come
+        sizes = []
+
+        def cross(x_query, x_train, spec):
+            sizes.append(len(x_query))
+            return np.zeros((len(x_query), len(x_train)))
+
+        monkeypatch.setattr(kernel, "cross_matrix", cross)
+        bias = np.arange(l, dtype=float)
+        solve = KernelSolve(np.zeros((n_train, l)), bias, 0.05, np.zeros((n_train, l)))
+        x_query, x_train = np.zeros((n_query, 2)), np.zeros((n_train, 2))
+        out = predict_query(solve, x_query, x_train, KernelSpec(sigma=1.0))
+        assert out.shape == (n_query, l) and (out == bias).all()
+        step = kernel.block_rows(n_train)
+        assert sizes == [step] * (n_query // step) + [n_query % step] * (n_query % step > 0)
 
 
 class TestKernelSpec:
@@ -284,13 +288,16 @@ class TestPackedGram:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 51, 301])
     @pytest.mark.parametrize("kind", ["gaussian", "linear"])
     def test_bit_equal_to_packed_full_gram(self, n, kind):
-        # block products x[a:b] @ x[:k].T do not keep the bits of x @ x.T at
-        # n=301, d=3, so the linear kind is packed from the whole product
+        # a Gaussian block keeps every bit of the whole gram; a linear block
+        # product may differ from NumPy's symmetric x @ x.T in the last bits
+        # (at n = 2 and 301 here), so it is held to a few ulps of the largest
+        # entry, which bounds every term of a row's dot product
         x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
         spec = KernelSpec(kind=kind, sigma=None if n > 1 else 1.0)
         expected, info = dtrttf(gram_matrix(x, spec), transr="N", uplo="L")
         assert info == 0
-        np.testing.assert_array_equal(packed_gram(x, spec), expected)
+        ulps = 4.0 * np.spacing(np.abs(expected).max()) if kind == "linear" else 0.0
+        np.testing.assert_allclose(packed_gram(x, spec), expected, rtol=0.0, atol=ulps)
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     @pytest.mark.parametrize("n", [50, 51])
@@ -333,14 +340,17 @@ class TestRidgeSystem:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(50, 3))
         for spec in (KernelSpec(), KernelSpec(kind="linear", ridge=0.2)):
+            # a linear system's block products may move the gram's last bits
+            atol = 0.0 if spec.kind == "gaussian" else 1e-9
             system = ridge_system(x, spec)
             gram = gram_matrix(x, spec)
             for _ in range(3):
                 c = rng.normal(size=(50, 4))
                 shared, one_off = kkt_solve(system, c), kkt_solve(gram, c, spec.ridge)
-                np.testing.assert_array_equal(shared.dual_coeffs, one_off.dual_coeffs)
-                np.testing.assert_array_equal(shared.bias, one_off.bias)
-                np.testing.assert_array_equal(shared.fitted, one_off.fitted)
+                for name in ("dual_coeffs", "bias", "fitted"):
+                    np.testing.assert_allclose(
+                        getattr(shared, name), getattr(one_off, name), rtol=0.0, atol=atol
+                    )
 
     def test_gram_left_untouched(self):
         # the one-off solve factors a copy of the caller's gram

@@ -109,7 +109,7 @@ def allocating_bisection(
 
 def allocating_layout_bisection(g: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """``allocating_bisection`` on each row's candidate coordinates only, the
-    byte oracle of ``solve_matrix`` when no row keeps every label.
+    byte oracle of ``solve_matrix``.
 
     Row ``i``'s candidates, in label order, fill column ``i`` of a
     label-major ``(w, n)`` array padded with zeros that stay out of the
@@ -307,23 +307,21 @@ class TestSolveMatrix:
 
     @pytest.mark.parametrize("l", [*range(1, 8), 8, 30])
     def test_matches_row_major_bisection(self, l):
-        # below 8 labels a row-major row sum runs left to right, the order of
-        # the solver's label-major sum, so every bit agrees; from 8 labels it
-        # runs pairwise, and only the last bits may differ
+        # the bisection on each row's candidates ends within the tolerance of
+        # the one on all l labels, so only the last bits may differ
         j, o, yhat = random_rows(np.random.default_rng(100 + l), 300, l)
         assert (yhat.sum(axis=1) == l - 1).any()
         out = solve_matrix(j, o, yhat, gamma=2.0)
         expected = row_major_bisection(2.0 * o - 2.0 * j, yhat, np.ones((300, l)), l - 1.0)
         assert out.shape == (300, l) and out.dtype == np.float64 and out.flags.c_contiguous
-        np.testing.assert_allclose(out, expected, rtol=0.0, atol=0.0 if l < 8 else 1e-12)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(labels_from_output(out), labels_from_output(expected))
 
     def test_label_sum_order_on_near_tie_rows(self):
         # rows whose clip-map sum over all l labels comes so close to l - 1
         # during the bisection that the label order of the sum decides a
         # comparison (about 1 in 2000 random rows at l = 5): a reverse-order
-        # sum moves c by ~4e-13. No row keeps every label, so solve_matrix
-        # bisects on their candidates only
+        # sum moves c by ~4e-13; solve_matrix bisects on their candidates
         j = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_J])
         o = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_O])
         yhat = np.array(NEAR_TIE_YHAT, float)
@@ -340,18 +338,17 @@ class TestSolveMatrix:
 
     @pytest.mark.parametrize("l", [*range(1, 9), 30, 171])
     def test_bytes_match_allocating_bisection(self, l):
-        # solve_matrix keeps the dense bisection's bytes while a row keeps
-        # every label, and the candidate-only oracle's bytes once none does
+        # the bisection on all l labels keeps the allocating oracle's bytes,
+        # and solve_matrix the candidate-only oracle's, also while some row
+        # keeps every label (up to 8 labels here)
         j, o, yhat = random_rows(np.random.default_rng(400 + l), 200, l)
         g, hi = 2.0 * o - 2.0 * j, np.ones((200, l))
         c, nu = label_major_bisect(g, yhat, hi, l - 1.0)
         expected_c, expected_nu = allocating_bisection(g, yhat, hi, l - 1.0)
         assert c.tobytes() == expected_c.tobytes() and nu.tobytes() == expected_nu.tobytes()
-        dense = (yhat == 0).all(axis=1).any()
-        assert dense == (l <= 8)
-        if not dense:
-            expected_c = allocating_layout_bisection(g, yhat)
-        assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected_c.tobytes()
+        assert (yhat == 0).all(axis=1).any() == (l <= 8)
+        expected = allocating_layout_bisection(g, yhat)
+        assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("l, candidates", [(9, 4.0), (30, 9.7), (171, 2.1)])
     def test_layout_bytes_match_candidate_oracle(self, l, candidates):
