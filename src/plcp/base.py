@@ -6,9 +6,9 @@ PL-KNN) and a kernel least-squares regression onto the supervision, which
 shares the partner's dual solver. One call, :func:`fit_predict_base`,
 answers the train rows and any query rows from one fit. What a fit reads
 besides the supervision does not change between rounds of a run: PL-KNN's
-neighbour table is searched in blocks of rows and the kernel least-squares
-base reuses one factored ridge system; the engine takes both from the
-train set's memo, so each is built once per train set.
+neighbour table comes from one k-d tree query, rechecked exactly, and the
+kernel least-squares base reuses one factored ridge system; the engine
+takes both from the train set's memo, so each is built once per train set.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from . import kernel
 from .core import PartialLabelDataset
@@ -46,21 +46,26 @@ class BaseClassifierKind:
             raise ValueError("k_neighbors must be positive")
 
 
-def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
-    # The k-th smallest distance of a row bounds its neighbours. Every
-    # distance up to that bound stays a candidate, ties included; a stable
-    # sort of the candidates, kept in index order, then ranks equal
-    # distances by index, exactly as a stable argsort of the whole row.
-    bound = np.partition(distances, k - 1, axis=1)[:, k - 1, None]
-    rows, cols = np.nonzero(distances <= bound)
-    counts = np.bincount(rows, minlength=distances.shape[0])
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cand = np.zeros((distances.shape[0], counts.max()), dtype=np.intp)
-    cand_d = np.full(cand.shape, np.inf)
-    cand[rows, slots] = cols
-    cand_d[rows, slots] = distances[rows, cols]
-    order = np.argsort(cand_d, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(cand, order, axis=1)
+# cKDTree's leaf size: 32 took 32 ms and the default 16 took 37 ms to query
+# both tables of 2000 train rows at d = 8
+_LEAF_SIZE = 32
+
+
+def _rank(query, columns, candidates, own_rows, k):
+    """The ``k`` nearest of each query row's ``candidates`` (train indices),
+    ranked by (distance, train index), and their k-th distances. Squares
+    summed column by column, then a root, give ``cdist``'s bits. A query
+    row's own train row, in ``own_rows`` if given, ranks last."""
+    distances = np.zeros(candidates.shape)
+    for q, column in zip(query.T, columns):
+        diff = column[candidates] - q[:, None]
+        distances += np.square(diff, out=diff)
+    np.sqrt(distances, out=distances)
+    if own_rows is not None:
+        distances[candidates == own_rows[:, None]] = np.inf
+    order = np.lexsort((candidates, distances))[:, :k]
+    kth = np.take_along_axis(distances, order[:, -1:], axis=1)[:, 0]
+    return np.take_along_axis(candidates, order, axis=1), kth
 
 
 def neighbour_table(
@@ -69,22 +74,41 @@ def neighbour_table(
     """Indices of the ``k`` nearest train rows of every query row, nearest first.
 
     Equal distances rank by train index, as in a stable argsort of each
-    row of the distance matrix. With ``exclude_self`` the query rows are
-    the train rows and no row is its own neighbour. The search runs over
-    blocks of query rows, so the full query-by-train distance matrix never
-    exists.
+    row of ``cdist``'s distance matrix. With ``exclude_self`` the query
+    rows are the train rows and no row is its own neighbour. A k-d tree
+    proposes ``k + 1`` candidates a row (one more with ``exclude_self``),
+    ranked on their exact distances; a row whose k-th neighbour the tree
+    cannot certify (a tie, or too few train rows) is ranked again among
+    all train rows, in row blocks.
     """
     query, train = np.asarray(query, float), np.asarray(train, float)
     if not np.isfinite(query).all():
         raise ValueError("query features contain NaN or Inf")
-    table = np.empty((query.shape[0], k), dtype=np.intp)
-    step = kernel.block_rows(train.shape[0])
-    for start in range(0, query.shape[0], step):
-        distances = cdist(query[start : start + step], train)
-        if exclude_self:
-            rows = np.arange(distances.shape[0])
-            distances[rows, start + rows] = np.inf
-        table[start : start + step] = _nearest(distances, k)
+    (n_query, d), n_train = query.shape, train.shape[0]
+    if k > n_train:
+        raise ValueError(f"k={k} exceeds the {n_train} train rows")
+    want = min(k + 1 + exclude_self, n_train)
+    # the table outlives the search's temporaries: allocated before them, it
+    # leaves their freed memory in one piece for a run's later large arrays
+    table = np.empty((n_query, k), dtype=np.intp)
+    tree_distances, candidates = cKDTree(train, leafsize=_LEAF_SIZE).query(query, want)
+    columns = train.T.copy()
+    own_rows = np.arange(n_query) if exclude_self else None
+    table[:], kth = _rank(query, columns, candidates.reshape(n_query, want), own_rows, k)
+    # A train row left out lies at a tree distance of at least the last one
+    # returned. The tree and the recheck each sum d rounded squares and take
+    # a root, each within (d/2 + 2) eps of the true distance, and the tree
+    # prunes on a bound it updates once per level, within eps a level over
+    # at most bit_length(n_train) levels: rel doubles the sum of the three.
+    rel = 2 * (d + 4 + n_train.bit_length()) * np.finfo(float).eps
+    last = tree_distances.reshape(n_query, want)[:, -1]
+    redo = np.flatnonzero(~(last * (1 - rel) > kth))
+    step = kernel.block_rows(n_train)
+    for start in range(0, redo.size, step):
+        rows = redo[start : start + step]
+        everyone = np.broadcast_to(np.arange(n_train), (rows.size, n_train))
+        own = rows if exclude_self else None
+        table[rows] = _rank(query[rows], columns, everyone, own, k)[0]
     return table
 
 

@@ -632,5 +632,15 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def console(argv=None) -> int:
+    """The ``plcp`` command: :func:`main`, with bad input, a missing file or a
+    run too large for memory reported as one line on stderr and exit code 2."""
+    try:
+        return main(argv)
+    except (ValueError, FileNotFoundError, MemoryError) as exc:
+        print(f"plcp: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

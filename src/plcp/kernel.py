@@ -150,8 +150,8 @@ _BLOCK_ENTRIES = 1 << 17
 
 def block_rows(width: int) -> int:
     """Rows per block of a loop over rows ``width`` entries wide: the
-    neighbour search's distance rows, :func:`packed_gram`'s kernel rows and
-    :func:`predict_query`'s query rows."""
+    distance rows of the neighbour table's rows ranked among all train rows,
+    :func:`packed_gram`'s kernel rows and :func:`predict_query`'s query rows."""
     return max(1, _BLOCK_ENTRIES // width)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from plcp import kernel
+from plcp import base, kernel
 from plcp.base import (
     BaseClassifierKind,
     binarize_supervision,
@@ -97,7 +97,7 @@ def stable_argsort_table(query, train, k, exclude_self=False):
 
 
 class TestNeighbourTable:
-    # a train set of 600 rows splits the query rows into blocks of 218
+    # a train set of 600 rows splits the re-ranked query rows into blocks of 218
     N_TRAIN = 600
 
     # 600 rows are not a multiple of their block size; 512 rows fill two blocks
@@ -128,6 +128,65 @@ class TestNeighbourTable:
     def test_non_finite_query_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             neighbour_table(np.array([[np.nan]]), np.zeros((3, 1)), 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 33])
+    def test_recheck_distances_are_cdist_bytes(self, d):
+        rng = np.random.default_rng(d)
+        query, train = rng.normal(size=(30, d)), rng.normal(size=(40, d)) * 3.0
+        # one candidate a row: the k-th distance is that pair's distance
+        pairs = np.repeat(query, 40, axis=0)
+        candidates = np.tile(np.arange(40), 30)[:, None]
+        _, distances = base._rank(pairs, train.T.copy(), candidates, None, 1)
+        assert distances.tobytes() == cdist(query, train).ravel().tobytes()
+
+    def test_duplicate_rows_are_ranked_again(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(200, 3))
+        x = rng.permutation(np.concatenate([x, np.repeat(x[:4], 20, axis=0)]))
+        ranked, rank = [], base._rank
+
+        def spy(query, *args):
+            ranked.append(len(query))
+            return rank(query, *args)
+
+        monkeypatch.setattr(base, "_rank", spy)
+        np.testing.assert_array_equal(
+            neighbour_table(x, x, 10, exclude_self=True),
+            stable_argsort_table(x, x, 10, exclude_self=True),
+        )
+        # the tree's candidates of all 280 rows, then all train rows for at
+        # least the 84 rows with 20 copies at distance 0, in one block
+        assert len(ranked) == 2 and ranked[0] == 280 and 84 <= ranked[1] < 280
+
+    def test_large_offset_features(self):
+        rng = np.random.default_rng(8)
+        train, query = rng.normal(size=(400, 4)) + 1e8, rng.normal(size=(150, 4)) + 1e8
+        np.testing.assert_array_equal(
+            neighbour_table(train, train, 10, exclude_self=True),
+            stable_argsort_table(train, train, 10, exclude_self=True),
+        )
+        np.testing.assert_array_equal(
+            neighbour_table(query, train, 10), stable_argsort_table(query, train, 10)
+        )
+
+    def test_k_at_the_train_row_count(self):
+        rng = np.random.default_rng(9)
+        train, query = rng.normal(size=(30, 3)), rng.normal(size=(12, 3))
+        np.testing.assert_array_equal(
+            neighbour_table(train, train, 29, exclude_self=True),
+            stable_argsort_table(train, train, 29, exclude_self=True),
+        )
+        np.testing.assert_array_equal(
+            neighbour_table(query, train, 30), stable_argsort_table(query, train, 30)
+        )
+
+    def test_zero_query_rows(self):
+        table = neighbour_table(np.zeros((0, 2)), np.eye(5, 2), 3)
+        assert table.shape == (0, 3) and table.dtype == np.intp
+
+    def test_column_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            neighbour_table(np.zeros((4, 3)), np.zeros((6, 2)), 2)
 
 
 class TestKernelLs:

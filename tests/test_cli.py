@@ -1,8 +1,12 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -896,3 +900,32 @@ class TestIniTypos:
         spec = write(tmp_path / "spec.ini", "[synthetic]\nflipq = 0.3\n")
         with pytest.raises(ValueError, match=r"\[synthetic\] flipq: unknown key"):
             main(["generate", spec])
+
+
+class TestConsoleErrors:
+    """The ``plcp`` command reports bad input in one line, not a traceback."""
+
+    def test_empty_csv_is_one_line_and_exit_2(self, tmp_path):
+        for name in ("e1.csv", "e2.csv"):
+            write(tmp_path / name, "")
+        # the module entry point, as a shell runs it
+        package_root = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        done = subprocess.run(
+            [sys.executable, "-m", "plcp.cli", "inspect", "e1.csv", "e2.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert done.stderr == "plcp: error: empty features CSV e1.csv: no rows\n"
+        assert done.stdout == ""
+
+    def test_missing_config_is_one_line_and_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ini"
+        assert cli.console(["run", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"plcp: error: config file not found: {missing}\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_main_still_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="config file not found"):
+            main(["run", str(tmp_path / "missing.ini")])
