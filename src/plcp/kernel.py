@@ -120,28 +120,24 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Train-by-train kernel matrix, in Fortran order.
+def _pairwise(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    """The rows' inner products (linear) or squared distances (Gaussian)."""
+    return a @ b.T if kind == "linear" else cdist(a, b, "sqeuclidean")
 
-    The matrix is built in one buffer, with no second n x n temporary. It is
-    symmetric, so writing its C-order transpose fills it.
-    """
-    x = _finite(x)
-    if spec.kind == "linear":
-        return (x @ x.T).T
-    sigma = resolve_sigma(x, spec)
-    gram = np.empty((x.shape[0], x.shape[0]), order="F")
-    cdist(x, x, "sqeuclidean", out=gram.T)
-    return _gaussian(gram, sigma)
+
+def gram_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Train-by-train kernel matrix, in Fortran order: the transpose of
+    :func:`cross_matrix` of ``x`` with itself, the same matrix to the bit, as
+    ``cdist`` and ``x @ x.T`` give each pair's two entries equal bits."""
+    return cross_matrix(_finite(x), x, spec).T
 
 
 def cross_matrix(x_query: np.ndarray, x_train: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Query-by-train kernel evaluations, bandwidth taken from the train side."""
     x_query, x_train = np.asarray(x_query, float), np.asarray(x_train, float)
-    if spec.kind == "linear":
-        return x_query @ x_train.T
-    sigma = resolve_sigma(x_train, spec)
-    return _gaussian(cdist(x_query, x_train, "sqeuclidean"), sigma)
+    sigma = None if spec.kind == "linear" else resolve_sigma(x_train, spec)
+    block = _pairwise(x_query, x_train, spec.kind)
+    return block if sigma is None else _gaussian(block, sigma)
 
 
 # Entries per block of rows of a loop over n_train-wide rows: 1 MiB of float64.
@@ -153,11 +149,6 @@ def block_rows(width: int) -> int:
     distance rows of the neighbour table's rows ranked among all train rows,
     :func:`packed_gram`'s kernel rows and :func:`predict_query`'s query rows."""
     return max(1, _BLOCK_ENTRIES // width)
-
-
-def _pairwise(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    """The rows' inner products (linear) or squared distances (Gaussian)."""
-    return a @ b.T if kind == "linear" else cdist(a, b, "sqeuclidean")
 
 
 def packed_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:

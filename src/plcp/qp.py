@@ -2,26 +2,28 @@
 
 Each row solves
 
-    min  c^T c + g^T c   s.t.  lower <= c <= upper,  sum(c) = sum_target
+    min  c^T c + g^T c   s.t.  yhat <= c <= 1,  sum(c) = l - 1
 
-which is a strictly convex separable QP. Its stationarity system is a
-box-clipped affine map of one scalar multiplier ``nu``:
+for a 0/1 non-candidate mask ``yhat`` with at least one 0 (a candidate);
+this partner's box is the only one the module poses, and
+:class:`RowQpProblem` rejects any other. A non-candidate is pinned at 1,
+so only a row's |S| candidates are free, on [0, 1] and summing to
+|S| - 1, a target that always lies in [0, |S|]. Their stationarity system
+is a clipped affine map of one scalar multiplier ``nu``:
 
-    c_j(nu) = clip((-g_j - nu) / 2, lower_j, upper_j)
+    c_j(nu) = clip((-g_j - nu) / 2, 0, 1)
 
-The coordinate sum of ``c(nu)`` is non-increasing in ``nu``, so the
-equality constraint reduces to a monotone scalar root found by bisection,
-run on all rows at once. It works label-major, so a row's sum is vector
-additions over the rows, in label order. The partner's box is
-``[yhat, 1]``: a non-candidate is pinned at 1, and only a row's |S|
-candidates are free, summing to |S| - 1. So :func:`solve_matrix` bisects
-on each row's candidates alone, from a :class:`CandidateLayout` padded to
-the widest set, ``w`` of them; ``c`` is within about 5e-13 of a bisection
-on all l labels. A step runs three in-place ufuncs and a sum over one
-64-byte-aligned ``(w, n)`` buffer, bit for bit ``np.clip((-g - mid) / 2,
-lo, hi)``: it steps on ``-g / 2`` and halved multipliers, as negation and
-halving are exact, and maximum-then-minimum is ``np.clip`` to the bit,
-signed zeros and NaN included.
+whose coordinate sum is non-increasing in ``nu``, so the equality
+constraint reduces to a monotone scalar root. One solver finds it: a
+bisection on every row at once, on a :class:`CandidateLayout` that lists
+each row's candidates label-major, padded to the widest set, ``w`` of
+them, so a row's sum is vector additions over the rows, in label order.
+:func:`solve_matrix` runs it on all rows and
+:func:`solve_row_with_multiplier` on one. A step runs three in-place
+ufuncs and a sum over one 64-byte-aligned ``(w, n)`` buffer, bit for bit
+``np.clip((-g - mid) / 2, 0, 1)``: it steps on ``-g / 2`` and halved
+multipliers, as negation and halving are exact, and maximum-then-minimum
+is ``np.clip`` to the bit, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantViolation
-
 NU_TOL = 1e-12
 MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
 class RowQpProblem:
-    """One row's linear term, box bounds, and equality target."""
+    """One row of the partner's QP: a finite linear term, the box ``[lower,
+    upper]`` of a 0/1 ``lower`` with at least one 0 and an all-1 ``upper``,
+    and the sum target ``l - 1``."""
 
     linear: np.ndarray
     lower: np.ndarray
@@ -53,24 +55,24 @@ class RowQpProblem:
         object.__setattr__(self, "linear", g)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if not g.shape == lo.shape == hi.shape:
-            raise ValueError("linear, lower, upper must share one shape")
-        if not all(np.isfinite(a).all() for a in (g, lo, hi)):
-            raise ValueError("linear, lower and upper must be finite")
-        if (lo > hi).any():
-            raise ValueError("lower bound exceeds upper bound")
-        if not lo.sum() - 1e-12 <= self.sum_target <= hi.sum() + 1e-12:
+        if not (g.ndim == 1 and g.shape == lo.shape == hi.shape):
+            raise ValueError("linear, lower, upper must be vectors of one shape")
+        if not (
+            np.isfinite(g).all() and np.isin(lo, (0, 1)).all() and (lo == 0).any()
+            and (hi == 1).all() and self.sum_target == len(g) - 1
+        ):
             raise ValueError(
-                f"infeasible: sum target {self.sum_target} outside "
-                f"[{lo.sum()}, {hi.sum()}]"
+                "not the partner's box: a finite linear term, a 0/1 lower with at "
+                f"least one 0, an upper of all 1 and the sum target l - 1 = {len(g) - 1}"
             )
 
 
-def _clip_map(h, nu, lo, hi, out=None):
-    """``np.clip(h - nu, lo, hi)`` bit for bit, into ``out``; with
-    ``np.maximum(lo, out)`` a zero would change its sign."""
-    out = np.subtract(h, nu, out=out)
-    return np.minimum(np.maximum(out, lo, out=out), hi, out=out)
+def _clip_map(h, nu, out):
+    """``np.clip(h - nu, 0, 1)`` bit for bit, into ``out``: ``np.maximum``
+    returns its second operand on a tie, so ``out`` goes second, or -0
+    would become +0 where ``np.clip`` keeps it."""
+    np.subtract(h, nu, out=out)
+    return np.minimum(np.maximum(0.0, out, out=out), 1.0, out=out)
 
 
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -81,43 +83,44 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
-def _bisect(g, lo, hi, target, pad=None) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(g, target, pad) -> tuple[np.ndarray, np.ndarray]:
     """Minimizers ``c``, label-major, and multipliers ``nu`` of the row
-    problems in the columns of a label-major ``(w, n)`` linear term ``g``.
-    Bounds are scalars or ``(w, n)``, ``target`` a scalar or one per row,
-    and ``pad`` slots clip to 0 and stay out of the bracket."""
+    problems in the columns of a label-major ``(w, n)`` linear term ``g``,
+    on the box [0, 1] with one ``target`` a row; ``pad`` slots clip to 0
+    and stay out of the bracket."""
     h = np.multiply(g, -0.5, out=_aligned_empty(g.shape))
-    if pad is not None:
-        np.putmask(h, pad, np.inf)
+    np.putmask(h, pad, np.inf)
     # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
-    nu_lo = (h - hi).min(axis=0)
-    if pad is not None:
-        np.putmask(h, pad, -np.inf)
-    nu_hi = (h - lo).max(axis=0)
+    nu_lo = (h - 1.0).min(axis=0)
+    np.putmask(h, pad, -np.inf)
+    nu_hi = h.max(axis=0)
     buf, mid, s = _aligned_empty(h.shape), np.empty_like(nu_lo), np.empty_like(nu_lo)
     for _ in range(MAX_BISECT):
         if (nu_hi - nu_lo).max() <= NU_TOL / 2:
             break
         np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
-        too_low = np.add.reduce(_clip_map(h, mid, lo, hi, buf), axis=0, out=s) >= target
+        too_low = np.add.reduce(_clip_map(h, mid, buf), axis=0, out=s) >= target
         np.putmask(nu_lo, too_low, mid)
         np.putmask(nu_hi, ~too_low, mid)
     np.multiply(np.add(nu_lo, nu_hi, out=mid), 0.5, out=mid)
-    return _clip_map(h, mid, lo, hi, buf), 2.0 * mid
+    return _clip_map(h, mid, buf), 2.0 * mid
+
+
+def _solve_on(layout, g, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect on ``layout`` with ``g`` gathered at its entries; ``c``
+    scattered into ones of ``shape``, and the multipliers."""
+    c, nu = _bisect(g, layout.target, layout.pad)
+    np.putmask(c, layout.pad, 1.0)
+    out = np.ones(shape)
+    out.reshape(-1)[layout.index] = c  # a fancy store is twice as fast as put
+    return out, nu
 
 
 def solve_row_with_multiplier(problem: RowQpProblem) -> tuple[np.ndarray, float]:
     """Minimizer of one row problem together with its equality multiplier."""
-    g, lo, hi = problem.linear, problem.lower, problem.upper
-    nu_lo = float((-g - 2.0 * hi).min())
-    nu_hi = float((-g - 2.0 * lo).max())
-    # bracketing: sum is maximal (= sum of uppers) at nu_lo, minimal at nu_hi
-    if not _clip_map(-g / 2, nu_lo / 2, lo, hi).sum() >= problem.sum_target - 1e-9:
-        raise InvariantViolation("bracket end nu_lo gives a sum below the target")
-    if not _clip_map(-g / 2, nu_hi / 2, lo, hi).sum() <= problem.sum_target + 1e-9:
-        raise InvariantViolation("bracket end nu_hi gives a sum above the target")
-    c, nu = _bisect(g[:, None], lo[:, None], hi[:, None], problem.sum_target)
-    return c[:, 0], float(nu[0])
+    layout = candidate_layout(problem.lower[None])
+    c, nu = _solve_on(layout, problem.linear.take(layout.index), problem.lower.shape)
+    return c, float(nu[0])
 
 
 def kkt_residual(problem: RowQpProblem, c: np.ndarray, nu: float) -> float:
@@ -193,8 +196,4 @@ def solve_matrix(
     g = gamma * o.take(layout.index) - 2.0 * j.take(layout.index)
     if not (np.isfinite(g).all() and np.isfinite(j).all() and np.isfinite(o).all()):
         raise ValueError("row QP has a non-finite linear term")
-    c = _bisect(g, 0.0, 1.0, layout.target, layout.pad)[0]
-    np.putmask(c, layout.pad, 1.0)
-    out = np.ones_like(j)
-    out.reshape(-1)[layout.index] = c  # a fancy store is twice as fast as put
-    return out
+    return _solve_on(layout, g, j.shape)[0]

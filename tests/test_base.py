@@ -158,6 +158,28 @@ class TestNeighbourTable:
         # least the 84 rows with 20 copies at distance 0, in one block
         assert len(ranked) == 2 and ranked[0] == 280 and 84 <= ranked[1] < 280
 
+    def test_certification_keeps_a_rounding_margin(self, monkeypatch):
+        # a tree that leaves out train row 0, which ties the k-th exact
+        # distance (5) and has a lower index than the k-th neighbour (row 2),
+        # and reports its last distance 4 ulps above 5: with no margin for
+        # the tree's rounding, that last distance would certify the row
+        train = np.array([[3.0, 4.0], [1.0, 0.0], [4.0, 3.0], [10.0, 0.0], [0.0, 7.0]])
+        query = np.zeros((1, 2))
+
+        class LeavesOutRowZero:
+            def __init__(self, data, leafsize):
+                pass
+
+            def query(self, rows, want):
+                assert want == 3
+                last = 5.0 + 4 * np.spacing(5.0)
+                return np.array([[1.0, 5.0, last]]), np.array([[1, 2, 4]])
+
+        monkeypatch.setattr(base, "cKDTree", LeavesOutRowZero)
+        table = neighbour_table(query, train, 2)
+        np.testing.assert_array_equal(table, stable_argsort_table(query, train, 2))
+        assert table.tolist() == [[1, 0]]
+
     def test_large_offset_features(self):
         rng = np.random.default_rng(8)
         train, query = rng.normal(size=(400, 4)) + 1e8, rng.normal(size=(150, 4)) + 1e8

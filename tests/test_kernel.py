@@ -94,6 +94,19 @@ class TestGramMatrix:
         assert gram.flags.f_contiguous and gram.flags.writeable
 
 
+    @pytest.mark.parametrize("n", [1, 2, 50, 301])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_gram_is_the_transposed_cross_matrix(self, n, kind):
+        # one pairwise path: the gram is cross_matrix(x, x) transposed, which
+        # is the same matrix to the bit, as each pair's two entries are equal
+        x = np.random.default_rng(50 + n).normal(size=(n, 7)) * 2.0
+        spec = KernelSpec(kind=kind, sigma=None if n > 1 else 0.7)
+        gram = gram_matrix(x, spec)
+        assert gram.flags.f_contiguous
+        assert gram.tobytes(order="C") == gram.T.tobytes(order="C")
+        assert gram.tobytes(order="C") == cross_matrix(x, x, spec).T.tobytes(order="C")
+
+
 class TestKktSolve:
     def test_zero_target_gives_zero_model(self):
         rng = np.random.default_rng(3)

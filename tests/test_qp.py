@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcp import qp
-from plcp.core import InvariantViolation
 from plcp.partner import labels_from_output
 from plcp.qp import (
     MAX_BISECT,
@@ -86,30 +85,10 @@ def _clip_map(nu, g, lo, hi):
     return np.clip((-g - nu) / 2.0, lo, hi)
 
 
-def allocating_bisection(
-    g: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The solver's label-major bisection with every op allocating a new
-    array and the clip taken by ``np.clip``: the byte oracle of
-    ``qp._bisect``."""
-    g, lo, hi = (np.ascontiguousarray(a.T) for a in (g, lo, hi))
-    # per row, the coordinate sum is maximal at nu_lo and minimal at nu_hi
-    nu_lo = (-g - 2.0 * hi).min(axis=0)
-    nu_hi = (-g - 2.0 * lo).max(axis=0)
-    for _ in range(MAX_BISECT):
-        if (nu_hi - nu_lo).max() <= NU_TOL:
-            break
-        mid = 0.5 * (nu_lo + nu_hi)
-        too_low = _clip_map(mid, g, lo, hi).sum(axis=0) >= target
-        nu_lo = np.where(too_low, mid, nu_lo)
-        nu_hi = np.where(too_low, nu_hi, mid)
-    nu = 0.5 * (nu_lo + nu_hi)
-    return np.ascontiguousarray(_clip_map(nu, g, lo, hi).T), nu
-
-
 def allocating_layout_bisection(g: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """``allocating_bisection`` on each row's candidate coordinates only, the
-    byte oracle of ``solve_matrix``.
+    """The solver's label-major bisection on each row's candidate coordinates
+    only, with every op allocating a new array and the clip taken by
+    ``np.clip``: the byte oracle of ``solve_matrix``.
 
     Row ``i``'s candidates, in label order, fill column ``i`` of a
     label-major ``(w, n)`` array padded with zeros that stay out of the
@@ -138,12 +117,6 @@ def allocating_layout_bisection(g: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     for i, cols in enumerate(columns):
         out[i, cols] = c[: len(cols), i]
     return out
-
-
-def label_major_bisect(g, lo, hi, target):
-    """``qp._bisect`` on ``(n, l)`` rows, with ``c`` back in ``(n, l)``."""
-    c, nu = qp._bisect(*(np.ascontiguousarray(a.T) for a in (g, lo, hi)), target)
-    return np.ascontiguousarray(c.T), nu
 
 
 # three rows at l = 5 (inputs of solve_matrix at gamma 2) on which a
@@ -219,7 +192,7 @@ class TestSolveRow:
         np.testing.assert_allclose(c, [2 / 3] * 3, atol=1e-9)
 
     def test_infeasible_rejected(self):
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(ValueError, match="partner's box"):
             RowQpProblem(
                 linear=np.zeros(2),
                 lower=np.zeros(2),
@@ -237,17 +210,40 @@ class TestSolveRow:
         with pytest.raises(ValueError, match="finite"):
             RowQpProblem(**arrays, sum_target=2.0)
 
-    @pytest.mark.parametrize("sum_target, end", [(3.0, "nu_lo"), (-1.0, "nu_hi")])
-    def test_broken_bracket_raises_typed_error(self, sum_target, end):
-        # a problem that skipped validation: no multiplier reaches its sum
-        problem = object.__new__(RowQpProblem)
-        for name, value in (
-            ("linear", np.zeros(2)), ("lower", np.zeros(2)), ("upper", np.ones(2)),
-            ("sum_target", sum_target),
-        ):
-            object.__setattr__(problem, name, value)
-        with pytest.raises(InvariantViolation, match=end):
-            solve_row_with_multiplier(problem)
+    @pytest.mark.parametrize(
+        "lower, upper, sum_target",
+        [
+            ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], 2.0),
+            ([0.0, 1.0, 1.0], [1.0, 2.0, 1.0], 2.0),
+            ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0),
+            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0),
+        ],
+        ids=["half-lower", "upper-2", "target-not-l-1", "no-free-coordinate"],
+    )
+    def test_other_boxes_rejected(self, lower, upper, sum_target):
+        with pytest.raises(ValueError, match="partner's box"):
+            RowQpProblem(np.zeros(3), np.array(lower), np.array(upper), sum_target)
+
+    @pytest.mark.parametrize(
+        "lower",
+        [[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0]],
+        ids=["one-candidate", "all-candidates", "one-label"],
+    )
+    def test_one_row_is_a_row_of_the_matrix_solver(self, lower):
+        # the one-row call keeps the bytes of the candidate-only oracle, and so
+        # of solve_matrix on that one row
+        lower = np.array(lower)
+        g = np.array([0.7, -1.3, 0.2, 2.5])[: len(lower)]
+        problem = RowQpProblem(g, lower, np.ones_like(lower), len(lower) - 1.0)
+        c, nu = solve_row_with_multiplier(problem)
+        expected = allocating_layout_bisection(g[None], lower[None])[0]
+        assert c.tobytes() == expected.tobytes()
+        row = solve_matrix(-g[None] / 2, np.zeros((1, len(g))), lower[None], gamma=0.0)
+        assert c.tobytes() == row[0].tobytes()
+        assert (c[lower == 1] == 1.0).all() and isinstance(nu, float)
+        oracle = enumeration_oracle(g, lower, np.ones_like(g), len(g) - 1.0)
+        np.testing.assert_allclose(c, oracle, atol=TOL)
+        assert kkt_residual(problem, c, nu) < TOL
 
     @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
     def test_matches_enumeration_oracle(self, l):
@@ -320,35 +316,31 @@ class TestSolveMatrix:
     def test_label_sum_order_on_near_tie_rows(self):
         # rows whose clip-map sum over all l labels comes so close to l - 1
         # during the bisection that the label order of the sum decides a
-        # comparison (about 1 in 2000 random rows at l = 5): a reverse-order
-        # sum moves c by ~4e-13; solve_matrix bisects on their candidates
+        # comparison (about 1 in 2000 random rows at l = 5); on their
+        # candidates solve_matrix keeps the label-order oracle's bytes
         j = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_J])
         o = np.array([[float.fromhex(v) for v in row] for row in NEAR_TIE_O])
         yhat = np.array(NEAR_TIE_YHAT, float)
         for rows in (slice(None), *([i] for i in range(len(j)))):
             g = 2.0 * o[rows] - 2.0 * j[rows]
-            hi = np.ones_like(g)
-            expected = row_major_bisection(g, yhat[rows], hi, 4.0)
-            c, nu = label_major_bisect(g, yhat[rows], hi, 4.0)
-            expected_c, expected_nu = allocating_bisection(g, yhat[rows], hi, 4.0)
-            assert c.tobytes() == expected_c.tobytes() == expected.tobytes()
-            assert nu.tobytes() == expected_nu.tobytes()
             out = solve_matrix(j[rows], o[rows], yhat[rows], gamma=2.0)
             assert out.tobytes() == allocating_layout_bisection(g, yhat[rows]).tobytes()
 
     @pytest.mark.parametrize("l", [*range(1, 9), 30, 171])
     def test_bytes_match_allocating_bisection(self, l):
-        # the bisection on all l labels keeps the allocating oracle's bytes,
-        # and solve_matrix the candidate-only oracle's, also while some row
-        # keeps every label (up to 8 labels here)
+        # solve_matrix keeps the candidate-only oracle's bytes, also while
+        # some row keeps every label (up to 8 labels here)
         j, o, yhat = random_rows(np.random.default_rng(400 + l), 200, l)
-        g, hi = 2.0 * o - 2.0 * j, np.ones((200, l))
-        c, nu = label_major_bisect(g, yhat, hi, l - 1.0)
-        expected_c, expected_nu = allocating_bisection(g, yhat, hi, l - 1.0)
-        assert c.tobytes() == expected_c.tobytes() and nu.tobytes() == expected_nu.tobytes()
         assert (yhat == 0).all(axis=1).any() == (l <= 8)
-        expected = allocating_layout_bisection(g, yhat)
+        expected = allocating_layout_bisection(2.0 * o - 2.0 * j, yhat)
         assert solve_matrix(j, o, yhat, gamma=2.0).tobytes() == expected.tobytes()
+
+    def test_fortran_order_input_keeps_the_bytes(self):
+        # c is scattered into a C-order matrix of ones, whatever j's order
+        j, o, yhat = random_rows(np.random.default_rng(13), 40, 6)
+        expected = solve_matrix(j, o, yhat, gamma=2.0)
+        out = solve_matrix(*(np.asfortranarray(a) for a in (j, o, yhat)), gamma=2.0)
+        assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("l, candidates", [(9, 4.0), (30, 9.7), (171, 2.1)])
     def test_layout_bytes_match_candidate_oracle(self, l, candidates):
@@ -368,18 +360,13 @@ class TestSolveMatrix:
         np.testing.assert_array_equal(labels_from_output(expected), labels_from_output(dense))
 
     def test_clip_map_is_np_clip_on_signed_zeros(self):
-        # every (value, lower) pair of signed zeros and NaN, over 33 entries so
-        # that both a vector body and a scalar tail run; np.maximum(lo, buf)
-        # would return the other zero where value and lower are zeros of
-        # opposite sign
-        values = np.array([0.0, -0.0, np.nan, 0.25])
-        pairs = np.array(list(itertools.product(values, [0.0, -0.0, np.nan])))
-        h, lo = (np.resize(pairs[:, i], 33) for i in (0, 1))
-        hi = np.ones(33)
-        expected = np.clip(h - 0.0, lo, hi)
-        assert qp._clip_map(h, 0.0, lo, hi).tobytes() == expected.tobytes()
+        # signed zeros and NaN against the scalar bounds, over 33 entries so
+        # that both a vector body and a scalar tail run; np.maximum(buf, 0)
+        # would return +0 where the value is -0 and np.clip keeps -0
+        h = np.resize([0.0, -0.0, np.nan, 0.25, 1.5, -2.0], 33)
+        expected = np.clip(h - 0.0, 0.0, 1.0)
         out = np.empty(33)
-        assert qp._clip_map(h, 0.0, lo, hi, out) is out
+        assert qp._clip_map(h, 0.0, out) is out
         assert out.tobytes() == expected.tobytes()
         assert np.signbit(out[:2]).tolist() == [False, True]
 
