@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import hashlib
 import itertools
 import math
 import os
@@ -333,13 +334,15 @@ def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None):
 
     ``data`` is the seed's (train, test) split, built here when absent. The
     base-alone run depends on nothing but the split and the base config, so
-    it is kept on the train set (see ``PartialLabelDataset.derived``) for
-    later calls with that split. Returns (result rows, trajectory rows).
+    it is kept on the train set (see ``PartialLabelDataset.derived``), keyed
+    by the base config and a digest of the test rows. Returns (result rows,
+    trajectory rows).
     """
     train, test = _split(exp, seed) if data is None else data
     base = exp.engine.base
+    key = ("base-alone", base, hashlib.sha256(test.features).hexdigest())
     (base_train, base_test), base_ms = train.derived(
-        ("base-alone", base), lambda: _timed(run_base_alone, train, test.features, base)
+        key, lambda: _timed(run_base_alone, train, test.features, base)
     )
     report, plcp_ms = _timed(run_plcp, train, test.features, exp.engine)
 

@@ -47,8 +47,8 @@ class PartialLabelDataset:
     :meth:`derived`): the resolved Gaussian bandwidth, the ridge systems
     of the latest run, one neighbour table per neighbour count, the row
     QP's candidate layout, the partner fit of the latest gamma-0 config and
-    one base-alone run per base config. The memo lives exactly as long as
-    the dataset object, so every run on the same train set shares these,
+    one base-alone run per base config and test set. The memo lives as long
+    as the dataset object, so every run on the same train set shares these,
     and a new dataset, even with equal contents, builds its own.
     """
 

@@ -8,12 +8,12 @@ label-change fraction; the loop stops early once two fractions in a row
 fall below the threshold, and always within ``max_iter`` rounds. Test
 predictions come from the partner of the final iteration.
 
-Each run starts with one setup step: a check that the run fits in
-physical memory (:func:`_check_memory`), then what depends only on the
-train set, from its memo:
-the Gaussian bandwidth, the row QP's candidate layout, the PL-KNN
-neighbour table and each ridge system. So the base-alone run and every
-coupled run and round on one dataset object build each once. The partner fit at gamma 0,
+Each run starts with one setup step (:func:`_prepare`): the memory check,
+the drop of the memo's unused factors if the run builds one, then what
+depends only on the train set, from its memo: the Gaussian bandwidth, the
+row QP's candidate layout, the PL-KNN neighbour table and each ridge
+system. So the base-alone run and every coupled run and round on one
+dataset object build each once. The partner fit at gamma 0,
 which never reads its supervision, is memoized too. Both runs take the
 base's outputs from :func:`base.fit_predict_base`, whose one fit answers
 the train rows and, when asked, the test rows.
@@ -156,32 +156,37 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(
-    n_train: int, n_test: int, n_labels: int, specs: tuple, held: int | None = None
-) -> None:
-    """Refuse a run whose n_train-squared arrays cannot fit in physical memory.
+# Arrays of n x l entries, 8 bytes each, alive at a round's peak, the
+# partner's ridge solve: in run_plcp the last state's p, phat, o and ohat,
+# the new p and o, the base output, the non-candidate mask and the last
+# round's partner c, dual and fitted; in fit_partner its own non-candidate
+# mask, this step's c, the last step's dual and fitted (j), this step's
+# dual and fitted and one solve temporary; and the row QP's candidate
+# layout, whose index has at most l columns. 19 are of train rows; the
+# test output and its clip, 2, of test rows.
+_TRAIN_ARRAYS, _TEST_ARRAYS = 19, 2
 
-    The estimate counts what grows with n_train squared: one packed factor
-    of n_train(n_train+1)/2 entries per ridge system of ``specs`` and one
-    block of test rows of the kernel matrix. Unless ``held`` is None,
-    the Gaussian bandwidth is still to be resolved: its condensed distances,
-    n_train(n_train-1)/2 entries, are alive before the first factor, beside
-    the ``held`` factors the memo keeps until then, and the estimate is the
-    larger of the two phases.
+
+def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> None:
+    """Refuse a run whose arrays cannot fit in physical memory.
+
+    The estimate counts one packed factor of n_train(n_train+1)/2 entries
+    per ridge system of ``specs``, one block of test rows of the kernel
+    matrix and the n x l arrays of a round and of its test output; the
+    bandwidth's distances never set the peak (see :func:`_prepare`).
     """
     triangle = n_train * (n_train + 1) // 2
     block = min(n_test, kernel.block_rows(n_train))
-    estimate = 8 * (len(specs) * triangle + n_train * block)
-    bandwidth = 0 if held is None else 8 * (held * triangle + n_train * (n_train - 1) // 2)
+    labels = (_TRAIN_ARRAYS * n_train + _TEST_ARRAYS * n_test) * n_labels
+    estimate = 8 * (len(specs) * triangle + n_train * block + labels)
     memory = _physical_memory()
-    if max(estimate, bandwidth) > memory:
+    if estimate > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
             f"about {estimate / 2**20:.0f} MiB for {len(specs)} ridge system(s) of "
-            f"{n_train}x{n_train}, each a packed triangle, and one block of test rows, "
-            + (f"or {bandwidth / 2**20:.0f} MiB for the bandwidth's pairwise distances "
-               f"beside {held} held ridge system(s), " if held is not None else "")
-            + f"but physical memory is {memory / 2**20:.0f} MiB"
+            f"{n_train}x{n_train}, each a packed triangle, one block of test rows and "
+            f"{_TRAIN_ARRAYS} train and {_TEST_ARRAYS} test arrays of {n_labels} labels, "
+            f"but physical memory is {memory / 2**20:.0f} MiB"
         )
 
 
@@ -207,19 +212,24 @@ def _prepare(
 
     Returns ``base`` with its Gaussian bandwidth pinned, the base's kNN
     table (one per k) or ridge system, and the pinned ``partner_spec`` with
-    its ridge system (None, None without one). In order: the memory check,
-    the bandwidth, the partner's candidate layout, the kNN table and the
-    ridge systems (partner, then a kernel-ls base). A call that needs a
-    ridge system the memo lacks first drops the ones it does not use, so
-    the memo holds one run's factors and a sweep, whose cells come
-    ridge-outer, builds each once per dataset.
+    its ridge system (None, None without one). In order: the memory check;
+    if the memo lacks a factor or the bandwidth of the run, the drop of the
+    memo's factors it does not use; the bandwidth, whose n(n-1)/2 distances
+    so sit beside fewer factors than the run keeps; the partner's candidate
+    layout, the kNN table and the new ridge systems (partner, then a
+    kernel-ls base). The memo holds one run's factors, and a sweep, whose
+    cells come ridge-outer, builds each once per dataset.
     """
     x, knn = dataset.features, base.kind == "pl-knn"
     specs = [s for s in (partner_spec, None if knn else base.kernel) if s is not None]
-    systems = dataset.derived("ridge", dict)
-    unresolved = any(s.kind == "gaussian" and s.sigma is None for s in specs)
-    held = len(systems) if unresolved and "sigma" not in dataset._memo else None
-    _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)), held)
+    _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)))
+    systems, sigma = dataset.derived("ridge", dict), dataset._memo.get("sigma")
+    # pinned where the memo has the bandwidth; an unpinned spec is in no memo
+    specs = [replace(s, sigma=sigma) if s.kind == "gaussian" and s.sigma is None else s
+             for s in specs]
+    if not systems.keys() >= set(specs):
+        for stale in systems.keys() - set(specs):
+            del systems[stale]
     for i, spec in enumerate(specs):
         if spec.kind == "gaussian" and spec.sigma is None:
             sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(x, spec))
@@ -229,12 +239,9 @@ def _prepare(
     if knn:
         key = ("neighbours", base.k_neighbors)
         prepared = dataset.derived(key, lambda: base_mod.prepare(base, dataset))
-    if any(spec not in systems for spec in specs):
-        for stale in set(systems).difference(specs):
-            del systems[stale]
-        for spec in specs:
-            if spec not in systems:
-                systems[spec] = kernel.ridge_system(x, spec)
+    for spec in specs:
+        if spec not in systems:
+            systems[spec] = kernel.ridge_system(x, spec)
     if not knn:
         base = replace(base, kernel=specs[-1])
         prepared = systems[base.kernel]
@@ -260,7 +267,6 @@ def run_plcp(
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
     snapshots: list[IterationSnapshot] = []
-    partner_model = None
 
     for _ in range(config.max_iter):
         supervision = _base_supervision(state, base_kind.binarize, y)
@@ -284,8 +290,6 @@ def run_plcp(
         if should_stop([snap.change_frac for snap in snapshots], config.stop_change_frac):
             break
 
-    if partner_model is None:
-        raise InvariantViolation("the loop ran no round")
     if config.predict_from_base:
         supervision = _base_supervision(state, base_kind.binarize, y)
         _, m_test = base_mod.fit_predict_base(

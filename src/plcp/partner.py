@@ -96,8 +96,6 @@ def fit_partner(
 
     j = np.zeros_like(o)
     trace: list[float] = []
-    solve = None
-    c = None
     g = config.gamma
     for _ in range(config.inner_iters):
         if config.aggressive:
@@ -114,8 +112,6 @@ def fit_partner(
             if abs(prev - curr) <= config.inner_tol * max(1.0, abs(prev)):
                 break
 
-    if c is None or solve is None:
-        raise InvariantViolation("the partner ran no inner iteration")
     if not ((c >= yhat - 1e-9).all() and (c <= 1.0 + 1e-9).all()):
         raise InvariantViolation("partner c left the [yhat, 1] box")
     if not np.abs(c.sum(axis=1) - (dataset.label_count - 1)).max() <= 1e-9:

@@ -129,6 +129,10 @@ class TestNeighbourTable:
         with pytest.raises(ValueError, match="NaN"):
             neighbour_table(np.array([[np.nan]]), np.zeros((3, 1)), 1)
 
+    def test_k_above_the_train_rows_rejected(self):
+        with pytest.raises(ValueError, match="k=4 exceeds the 3 train rows"):
+            neighbour_table(np.zeros((2, 1)), np.arange(3.0)[:, None], 4)
+
     @pytest.mark.parametrize("d", [1, 2, 8, 16, 33])
     def test_recheck_distances_are_cdist_bytes(self, d):
         rng = np.random.default_rng(d)
@@ -289,3 +293,20 @@ class TestBinarize:
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown base"):
         BaseClassifierKind(kind="pl-svm")
+
+
+def test_non_positive_neighbour_count_rejected():
+    with pytest.raises(ValueError, match="k_neighbors must be positive"):
+        BaseClassifierKind(k_neighbors=0)
+
+
+@pytest.mark.parametrize("kind", ["pl-knn", "kernel-ls"])
+def test_supervision_shape_rejected(kind):
+    ds = dataset_from([[0.0], [1.0], [3.0]], [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="supervision shape must match"):
+        fit_predict_base(BaseClassifierKind(kind=kind, k_neighbors=1), ds, np.ones((3, 3)))
+
+
+def test_binarize_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1, 2\) vs \(1, 3\)"):
+        binarize_supervision(np.zeros((1, 2)), np.zeros((1, 3)))

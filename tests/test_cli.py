@@ -416,6 +416,21 @@ class TestRunSeed:
         cli.run_seed(exp, 1, cli._split(exp, 1))
         assert len(calls) == 2
 
+    def test_base_alone_run_kept_per_test_set(self, tmp_path):
+        # one 150-row train set, two 75-row test sets: each test set's base
+        # row is that of its own base-alone run
+        spec = SyntheticSpec(n=300, d=3, l=3, flip_q=0.3)
+        exp = replace(experiment(tmp_path, "pl-knn"), synthetic=spec)
+        train, test = cli._split(exp, 1)
+        halves = [
+            PartialLabelDataset(test.features[rows], test.candidates[rows], test.ground_truth[rows])
+            for rows in (slice(0, 75), slice(75, 150))
+        ]
+        for half in halves:
+            base_row = cli.run_seed(exp, 1, (train, half))[0][0]
+            _, base_test = run_base_alone(train, half.features, exp.engine.base)
+            assert base_row["test_accuracy"] == accuracy(base_test, half.ground_truth)
+
 
 class TestSweep:
     def test_degenerate_grid_matches_run(self, tmp_path, monkeypatch):
@@ -578,6 +593,14 @@ class TestSweep:
             + "\n[sweep]\ngama = 0,2\n",
         )
         with pytest.raises(ValueError, match=r"\[sweep\] gama"):
+            main(["sweep", cfg])
+
+    def test_sweep_without_sweep_section_rejected(self, tmp_path):
+        cfg = write(
+            tmp_path / "run.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false"),
+        )
+        with pytest.raises(ValueError, match=r"requires a \[sweep\] section"):
             main(["sweep", cfg])
 
 
@@ -834,8 +857,9 @@ class TestIniTypos:
             ("train_frac = 1.5", "train_frac must be strictly between 0 and 1"),
             ("seeds = -1,2", "seeds must be distinct and non-negative"),
             ("seeds = 1,1", "seeds must be distinct and non-negative"),
+            ("seeds = ", "at least one seed is required"),
         ],
-        ids=["train-frac", "negative-seed", "repeated-seed"],
+        ids=["train-frac", "negative-seed", "repeated-seed", "no-seed"],
     )
     def test_run_setting_that_fails_later_rejected(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=message):
@@ -848,6 +872,10 @@ class TestIniTypos:
 
     def test_minus_infinity_temperature_kept(self, tmp_path):
         assert self.parse(tmp_path, "[engine]\nk = -inf\n").engine.k == -math.inf
+
+    def test_unknown_dataset_source_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown dataset source 'sql'"):
+            self.parse(tmp_path, "[dataset]\nsource = sql\n")
 
     def test_bad_number_names_its_key(self, tmp_path):
         with pytest.raises(ValueError, match=r"\[engine\] max_iter"):

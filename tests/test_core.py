@@ -27,6 +27,23 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="at least one sample"):
             PartialLabelDataset(np.zeros((0, 2)), np.zeros((0, 3)))
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2-D matrices"):
+            PartialLabelDataset(np.zeros(3), np.ones((3, 2)))
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ([0], "length must match"),
+            ([0, 2], "labels out of range"),
+            ([-1, 0], "labels out of range"),
+        ],
+        ids=["short", "above", "negative"],
+    )
+    def test_bad_truth_rejected(self, truth, message):
+        with pytest.raises(ValueError, match=f"ground_truth {message}"):
+            make_dataset(np.ones((2, 2)), truth=truth)
+
     def test_truth_outside_candidates_rejected(self):
         with pytest.raises(ValueError, match="outside candidate"):
             make_dataset([[1, 0], [0, 1]], truth=[1, 1])
@@ -162,6 +179,11 @@ class TestLabelingUpdate:
             update_labeling_confidence(
                 np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), 0.5
             )
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            update_labeling_confidence(np.zeros((1, 2)), np.zeros((1, 2)), np.ones((1, 2)), alpha)
 
 
 class TestNoncandidateUpdate:

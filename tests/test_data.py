@@ -50,6 +50,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=2, l=3, flip_q=1.0)
 
+    @pytest.mark.parametrize("n, d", [(0, 2), (10, 0)])
+    def test_empty_spec_rejected(self, n, d):
+        with pytest.raises(ValueError, match="n and d must be positive"):
+            SyntheticSpec(n=n, d=d, l=3, flip_q=0.3)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SyntheticSpec(n=10, d=2, l=3, flip_q=0.3, seed=-1)

@@ -274,6 +274,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iter"):
             EngineConfig(max_iter=0)
 
+    @pytest.mark.parametrize("frac", [-0.1, 1.5])
+    def test_stop_change_frac_range(self, frac):
+        with pytest.raises(ValueError, match=r"stop_change_frac must be in \[0, 1\]"):
+            EngineConfig(stop_change_frac=frac)
+
     def test_blur_temperature_guard(self):
         with pytest.raises(ValueError, match="ln 2"):
             EngineConfig(k=1.0)
@@ -517,25 +522,52 @@ class TestMemoryCheck:
         with pytest.raises(MemoryError, match="2 ridge system"):
             run_plcp(ds, ds.features[:7], lambda_cell)
 
-    def test_bandwidth_distances_count_beside_held_factors(self, monkeypatch):
-        # a linear run leaves its 2.4 MiB factor in the memo, and the next
-        # run's Gaussian bandwidth builds 2.4 MiB of pairwise distances
-        # beside it: 4 MiB holds that run's factor phase, but not its setup
-        memory = [16 << 20]
-        monkeypatch.setattr(engine, "_physical_memory", lambda: memory[0])
+    def test_unused_factors_drop_before_the_bandwidth_distances(self, monkeypatch):
+        # a linear run leaves its 2.4 MiB factor in the memo; the next run's
+        # Gaussian bandwidth builds 2.4 MiB of pairwise distances only after
+        # that factor is gone, so 4 MiB holds the run
         ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
         linear = EngineConfig(partner=PartnerConfig(kernel=KernelSpec(kind="linear")), max_iter=1)
         run_plcp(ds, ds.features[:7], linear)
-        memory[0] = 4 << 20
+        held, resolve = [], kernel.resolve_sigma
+
+        def resolving(x, spec):
+            if spec.sigma is None:
+                held.append(list(ds._memo["ridge"]))
+            return resolve(x, spec)
+
+        monkeypatch.setattr(kernel, "resolve_sigma", resolving)
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
+        run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
+        assert held == [[]]
+        assert list(ds._memo["ridge"]) == [KernelSpec(sigma=ds._memo["sigma"])]
+
+    def test_a_run_that_builds_no_factor_drops_none(self, monkeypatch):
+        # a kernel-ls run at partner ridge 0.2 keeps two factors; runs whose
+        # factors and bandwidth are all in the memo drop neither
+        ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=3, flip_q=0.3, seed=5))
+        kind = BaseClassifierKind(kind="kernel-ls")
+        partner_cfg = PartnerConfig(kernel=KernelSpec(ridge=0.2))
+        run_plcp(ds, ds.features[:7], EngineConfig(base=kind, partner=partner_cfg, max_iter=1))
+        both = list(ds._memo["ridge"])
+        assert len(both) == 2
         grams = count_calls(monkeypatch, kernel, "packed_gram")
-        sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
-        searches = count_calls(monkeypatch, base_mod, "neighbour_table")
-        message = r"2 MiB for 1 ridge system.* 5 MiB for the bandwidth's .* beside 1 held"
+        run_base_alone(ds, ds.features[:7], BaseClassifierKind(kind="pl-knn"))
+        run_plcp(ds, ds.features[:7], EngineConfig(partner=partner_cfg, max_iter=1))
+        run_base_alone(ds, ds.features[:7], kind)
+        assert list(ds._memo["ridge"]) == both and grams == []
+
+    def test_label_arrays_count_beside_the_factor(self, monkeypatch):
+        # 400 train rows at 171 labels: the factor and a block of test rows
+        # take 0.6 MiB, but 19 train and 2 test label arrays take 10 MiB more
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
+        ds = generate_synthetic(SyntheticSpec(n=400, d=3, l=171, flip_q=1.1 / 170, seed=5))
+        grams = count_calls(monkeypatch, kernel, "packed_gram")
+        message = r"400 train and 7 test samples with 171 labels need about 11 MiB.*19 train"
         with pytest.raises(MemoryError, match=message):
-            run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
-        assert grams == [] and sigmas == [] and searches == []
-        run_plcp(fresh_copy(ds), ds.features[:7], EngineConfig(max_iter=1))
-        assert len(grams) == 1
+            run_plcp(ds, ds.features[:7], EngineConfig())
+        assert grams == []
+        engine._check_memory(400, 7, 5, (KernelSpec(),))
 
     def test_linear_system_builds_in_the_memory_of_a_gaussian_one(self, monkeypatch):
         # a linear gram is packed from row blocks, as a Gaussian one is, so

@@ -284,6 +284,22 @@ class TestQueryBlocks:
 
 
 class TestKernelSpec:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+            KernelSpec(kind="poly")
+
+    def test_sigma_from_one_sample_rejected(self):
+        with pytest.raises(ValueError, match="fewer than two samples"):
+            resolve_sigma(np.zeros((1, 2)), KernelSpec())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_features_rejected(self, value):
+        x = np.zeros((3, 2))
+        x[1, 0] = value
+        for build in (gram_matrix, packed_gram):
+            with pytest.raises(ValueError, match="features contain NaN or Inf"):
+                build(x, KernelSpec(kind="linear"))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sigma_rejected(self, value):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):

@@ -26,6 +26,13 @@ class TestAccuracy:
 
 
 class TestCorrectionMetrics:
+    @pytest.mark.parametrize("which", range(3))
+    def test_length_mismatch(self, which):
+        labels = [np.zeros(3, int), np.zeros(3, int), np.zeros(3, int)]
+        labels[which] = np.zeros(2, int)
+        with pytest.raises(ValueError, match="label vectors must have equal length"):
+            correction_metrics(*labels)
+
     def test_extremes(self):
         truth = np.array([0, 0, 0])
         base = np.array([1, 1, 1])

@@ -192,6 +192,10 @@ class TestFitPartner:
         with pytest.raises(ValueError, match="gamma must be non-negative and finite"):
             PartnerConfig(gamma=gamma)
 
+    def test_no_inner_iteration_rejected(self):
+        with pytest.raises(ValueError, match="inner_iters must be at least 1"):
+            PartnerConfig(inner_iters=0)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_bad_inner_tol_rejected(self, tol):
         # the stop test abs(prev - curr) <= tol * max(1, |prev|) would never hold

@@ -225,6 +225,13 @@ class TestSolveRow:
             RowQpProblem(np.zeros(3), np.array(lower), np.array(upper), sum_target)
 
     @pytest.mark.parametrize(
+        "linear, lower", [((3,), (2,)), ((1, 3), (1, 3))], ids=["unequal", "matrix"]
+    )
+    def test_non_vectors_rejected(self, linear, lower):
+        with pytest.raises(ValueError, match="vectors of one shape"):
+            RowQpProblem(np.zeros(linear), np.zeros(lower), np.ones(lower), 2.0)
+
+    @pytest.mark.parametrize(
         "lower",
         [[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0]],
         ids=["one-candidate", "all-candidates", "one-label"],
@@ -457,6 +464,10 @@ class TestCandidateLayout:
         np.testing.assert_allclose(out, [[1.0, 1.0, 0.0, 1.0], [0.6, 1.0, 1.0, 0.4]], atol=1e-12)
         assert (out[yhat == 1] == 1.0).all()
         assert out.flags.c_contiguous and out.flags.owndata
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ValueError, match="j, o, yhat must share one shape"):
+            solve_matrix(np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 3)), 2.0)
 
     @pytest.mark.parametrize(
         "yhat, match",
