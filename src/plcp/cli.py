@@ -254,7 +254,11 @@ def _read_keys(cfg: configparser.ConfigParser, keys, also=()) -> dict[str, Any]:
 def _read_ini(path: str | Path, sections: tuple[str, ...]) -> configparser.ConfigParser:
     """The parsed INI file, whose sections must all be among ``sections``."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    found = cfg.read(path)
+    try:
+        found = cfg.read(path)
+    except configparser.Error as exc:
+        message = " ".join(str(exc).split())  # configparser's spans lines
+        raise ValueError(f"malformed config file {path}: {message}") from exc
     if not found:
         raise FileNotFoundError(f"config file not found: {path}")
     for section in cfg.sections():

@@ -44,12 +44,13 @@ class PartialLabelDataset:
 
     The dataset keeps read-only copies of its arrays, so what is derived
     from them can never go stale. It also memoizes that derived state (see
-    :meth:`derived`): the resolved Gaussian bandwidth, the ridge systems
-    of the latest run, one neighbour table per neighbour count, the row
-    QP's candidate layout, the partner fit of the latest gamma-0 config and
-    one base-alone run per base config and test set. The memo lives as long
-    as the dataset object, so every run on the same train set shares these,
-    and a new dataset, even with equal contents, builds its own.
+    :meth:`derived`): the non-candidate mask, the resolved Gaussian
+    bandwidth, the ridge systems of the latest run, one neighbour table per
+    neighbour count, the row QP's candidate layout, the partner fit of the
+    latest gamma-0 config and one base-alone run per base config and test
+    set. The memo lives as long as the dataset object, so every run on the
+    same train set shares these, and a new dataset, even with equal
+    contents, builds its own.
     """
 
     features: np.ndarray
@@ -116,8 +117,9 @@ class PartialLabelDataset:
 
     @property
     def noncandidates(self) -> np.ndarray:
-        """Complement mask: 1 exactly where a label is known to be wrong."""
-        return 1.0 - self.candidates
+        """Complement mask: 1 exactly where a label is known to be wrong.
+        One read-only array per dataset, built once in its memo."""
+        return self.derived("noncandidates", lambda: _frozen(self.candidates == 0, float))
 
 
 @dataclass(frozen=True)
@@ -139,16 +141,14 @@ def init_confidence(dataset: PartialLabelDataset, k: float = -1.0) -> Confidence
     """Initial confidence state: uniform over candidates, complement on phat.
 
     ``p`` starts at 1/|candidate set| on candidates and 0 elsewhere; ``phat``
-    starts at the non-candidate mask. The first base supervision ``ohat`` is
-    the initial ``p`` itself (which is already uniform on candidates, hence
-    a fixed point of the blur transform).
+    is the dataset's read-only non-candidate mask. The first base
+    supervision ``ohat`` is the initial ``p`` array itself (already uniform
+    on candidates, hence a fixed point of the blur transform).
     """
     y = dataset.candidates
     p = y / y.sum(axis=1, keepdims=True)
-    phat = dataset.noncandidates
     o = blur.blur_labeling(p, y, k)
-    ohat = p.copy()
-    return ConfidenceState(p=p, phat=phat, o=o, ohat=ohat)
+    return ConfidenceState(p=p, phat=dataset.noncandidates, o=o, ohat=p)
 
 
 def _blend(prev, m, mask: np.ndarray, alpha: float) -> np.ndarray:

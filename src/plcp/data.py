@@ -137,7 +137,10 @@ def load_dataset(
     candidates = _load_csv(candidates_path, "candidates")
     truth = None
     if truth_path is not None:
-        truth = _load_csv(truth_path, "truth").reshape(-1)
+        truth = _load_csv(truth_path, "truth")
+        if truth.shape[1] != 1:
+            raise ValueError(f"truth CSV {truth_path} has {truth.shape[1]} columns, not 1")
+        truth = truth[:, 0]
     return PartialLabelDataset(
         features=features, candidates=candidates, ground_truth=truth
     )

@@ -98,8 +98,7 @@ def should_stop(change_fracs: Sequence[float], threshold: float) -> bool:
     return len(change_fracs) >= 2 and all(f < threshold for f in change_fracs[-2:])
 
 
-def _check_state(state: ConfidenceState, y: np.ndarray) -> None:
-    yhat = 1.0 - y
+def _check_state(state: ConfidenceState, y: np.ndarray, yhat: np.ndarray) -> None:
     off = y == 0
     for name, o in (("o", state.o), ("ohat", state.ohat)):
         if np.abs(o.sum(axis=1) - 1.0).max() > 1e-9:
@@ -116,11 +115,12 @@ def _masked_argmax(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(y > 0, scores, -np.inf), axis=1)
 
 
-def _base_supervision(state: ConfidenceState, binarize: bool, y: np.ndarray) -> np.ndarray:
-    """What the base trains on: ``ohat``, or its 0/1 mask under ``binarize``."""
-    if binarize:
-        return base_mod.binarize_supervision(state.ohat, state.p, y)
-    return state.ohat
+def _fit_base(kind, dataset, state: ConfidenceState, prepared, query=None) -> tuple:
+    """The base's outputs, fit on ``ohat`` or, under ``binarize``, its 0/1 mask."""
+    supervision = state.ohat
+    if kind.binarize:
+        supervision = base_mod.binarize_supervision(state.ohat, state.p, dataset.candidates)
+    return base_mod.fit_predict_base(kind, dataset, supervision, prepared, query)
 
 
 def _snapshot(
@@ -156,15 +156,14 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-# Arrays of n x l entries, 8 bytes each, alive at a round's peak, the
-# partner's ridge solve: in run_plcp the last state's p, phat, o and ohat,
-# the new p and o, the base output, the non-candidate mask and the last
-# round's partner c, dual and fitted; in fit_partner its own non-candidate
-# mask, this step's c, the last step's dual and fitted (j), this step's
-# dual and fitted and one solve temporary; and the row QP's candidate
-# layout, whose index has at most l columns. 19 are of train rows; the
-# test output and its clip, 2, of test rows.
-_TRAIN_ARRAYS, _TEST_ARRAYS = 19, 2
+# Arrays of n x l entries, 8 bytes each, alive at a round's peak, which the
+# partner's ridge solve, the blur back and the state check reach alike; at
+# the solve: the new p and o, the last phat, the non-candidate mask, the
+# partner's c, the last inner step's dual and fitted, this step's dual and
+# fitted and one solve temporary, and the row QP's candidate layout, whose
+# index has at most l columns. 11 are of train rows; the test output and
+# its clip, 2, of test rows.
+_TRAIN_ARRAYS, _TEST_ARRAYS = 11, 2
 
 
 def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> None:
@@ -257,46 +256,48 @@ def run_plcp(
     """Run the full mutual-supervision loop and predict the test labels."""
     x = dataset.features
     y = dataset.candidates
-    yhat = dataset.noncandidates
     test_features = _as_test_matrix(dataset, test_features)
     base_kind, base_prepared, partner_spec, system = _prepare(
         dataset, len(test_features), config.base, config.partner.kernel
     )
     partner_cfg = replace(config.partner, kernel=partner_spec)
+    yhat = dataset.noncandidates
 
     state = init_confidence(dataset, config.k)
     labels_prev = _masked_argmax(state.p, y)
     snapshots: list[IterationSnapshot] = []
+    partner_model = None  # only the last round's is read, after the loop
 
     for _ in range(config.max_iter):
-        supervision = _base_supervision(state, base_kind.binarize, y)
-        m, _ = base_mod.fit_predict_base(base_kind, dataset, supervision, base_prepared)
-        p_new = update_labeling_confidence(state.p, m, y, config.alpha)
-        o_new = blur.blur_labeling(p_new, y, config.k)
+        del partner_model
+        m, _ = _fit_base(base_kind, dataset, state, base_prepared)
+        p = update_labeling_confidence(state.p, m, y, config.alpha)
+        o = blur.blur_labeling(p, y, config.k)
 
-        partner_model = _fit_partner(dataset, o_new, partner_cfg, system)
-        mhat = kernel.training_output(partner_model.solve)
-        phat_new = update_noncandidate_confidence(state.phat, mhat, yhat, config.alpha)
-        ohat_new = blur.blur_noncandidate(phat_new, y, config.k)
-
-        state = ConfidenceState(p=p_new, phat=phat_new, o=o_new, ohat=ohat_new)
+        # across the partner fit and the blur back, the round's peak, hold
+        # only what the round reads again: the last phat, new p and o, mask
+        phat = state.phat
+        del m, state
+        partner_model = _fit_partner(dataset, o, partner_cfg, system)
+        phat = update_noncandidate_confidence(
+            phat, kernel.training_output(partner_model.solve), yhat, config.alpha
+        )
+        state = ConfidenceState(p, phat, o, blur.blur_noncandidate(phat, y, config.k))
         if config.check_invariants:
-            _check_state(state, y)
+            _check_state(state, y, yhat)
 
-        labels_curr = _masked_argmax(p_new, y)
+        labels_curr = _masked_argmax(p, y)
         change_frac = float(np.mean(labels_curr != labels_prev))
-        snapshots.append(_snapshot(p_new, labels_curr, change_frac, dataset))
+        snapshots.append(_snapshot(p, labels_curr, change_frac, dataset))
         labels_prev = labels_curr
         if should_stop([snap.change_frac for snap in snapshots], config.stop_change_frac):
             break
 
     if config.predict_from_base:
-        supervision = _base_supervision(state, base_kind.binarize, y)
-        _, m_test = base_mod.fit_predict_base(
-            base_kind, dataset, supervision, base_prepared, test_features
-        )
+        _, m_test = _fit_base(base_kind, dataset, state, base_prepared, test_features)
         test_predictions = np.argmax(m_test, axis=1)
     else:
+        del p, phat, o, state  # the partner alone predicts the test rows
         test_predictions = partner.labels_from_output(
             kernel.predict_query(partner_model.solve, test_features, x, partner_spec)
         )

@@ -954,6 +954,20 @@ class TestConsoleErrors:
         assert captured.err == f"plcp: error: config file not found: {missing}\n"
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("text, reason", [
+        ("seeds = 1\n", "no section headers"),
+        ("[run]\nseeds = 1\nseeds = 2\n", "option 'seeds' in section 'run' already exists"),
+        ("[run]\nseeds\n", "[line 2]: 'seeds"),
+    ], ids=["no-section", "duplicate-key", "key-without-value"])
+    def test_malformed_config_is_one_line_and_exit_2(self, tmp_path, capsys, text, reason):
+        path = write(tmp_path / "bad.ini", text)
+        for command in ("run", "generate"):
+            assert cli.console([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"plcp: error: malformed config file {path}: ")
+            assert reason in captured.err and captured.err.count("\n") == 1
+            assert captured.out == ""
+
     def test_main_still_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="config file not found"):
             main(["run", str(tmp_path / "missing.ini")])

@@ -79,6 +79,9 @@ class TestDatasetValidation:
     def test_noncandidates_is_complement(self):
         ds = make_dataset([[1, 1, 0], [0, 1, 1]])
         np.testing.assert_array_equal(ds.noncandidates, 1.0 - ds.candidates)
+        # one read-only mask per dataset, shared by every reader
+        assert ds.noncandidates is ds.noncandidates
+        assert not ds.noncandidates.flags.writeable
 
 
 class TestDatasetArraysAndMemo:

@@ -143,6 +143,14 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="outside candidate"):
             load_dataset(tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv")
 
+    def test_truth_with_two_columns_rejected(self, tmp_path):
+        # four labels for four rows, but two a row: flattened they would load
+        np.savetxt(tmp_path / "x.csv", np.zeros((4, 2)), delimiter=",")
+        np.savetxt(tmp_path / "y.csv", np.ones((4, 3)), delimiter=",")
+        (tmp_path / "t.csv").write_text("0,1\n2,0\n")
+        with pytest.raises(ValueError, match=r"truth CSV \S*t\.csv has 2 columns, not 1"):
+            load_dataset(tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "t.csv")
+
     @pytest.mark.parametrize("label", ["nan", "1.5"])
     def test_non_integer_truth_names_its_row(self, tmp_path, label):
         np.savetxt(tmp_path / "x.csv", np.zeros((3, 2)), delimiter=",")

@@ -95,8 +95,8 @@ class TestRunPlcp:
         calls = count_calls(monkeypatch, engine, "_check_state")
         train, _, report = blob_run(seed=5)
         assert len(calls) == report.iterations_run
-        state, y = calls[-1]
-        assert y is train.candidates
+        state, y, yhat = calls[-1]
+        assert y is train.candidates and yhat is train.noncandidates
         np.testing.assert_allclose(state.o.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(state.ohat.sum(axis=1), 1.0, atol=1e-9)
         assert (state.o[y == 0] == 0.0).all()
@@ -234,14 +234,14 @@ class TestInvariantChecks:
         return PartialLabelDataset(features, candidates)
 
     def test_initial_state_passes(self, ds):
-        engine._check_state(init_confidence(ds), ds.candidates)
+        engine._check_state(init_confidence(ds), ds.candidates, ds.noncandidates)
 
     @pytest.mark.parametrize("name", ["o", "ohat"])
     def test_rows_must_sum_to_one(self, ds, name):
         state = init_confidence(ds)
         state = replace(state, **{name: 2.0 * getattr(state, name)})
         with pytest.raises(InvariantViolation, match=f"{name} rows must sum to 1"):
-            engine._check_state(state, ds.candidates)
+            engine._check_state(state, ds.candidates, ds.noncandidates)
 
     @pytest.mark.parametrize("name", ["o", "ohat"])
     def test_mass_must_vanish_off_candidates(self, ds, name):
@@ -250,19 +250,21 @@ class TestInvariantChecks:
         moved[1] = [0.0, 0.0, 1.0]
         state = replace(init_confidence(ds), **{name: moved})
         with pytest.raises(InvariantViolation, match=f"{name} must vanish off-candidates"):
-            engine._check_state(state, ds.candidates)
+            engine._check_state(state, ds.candidates, ds.noncandidates)
 
     def test_p_must_stay_in_its_box(self, ds):
         p = np.array(init_confidence(ds).p)
         p[0, 2] = 0.1  # above y = 0 on a non-candidate
+        state = replace(init_confidence(ds), p=p)
         with pytest.raises(InvariantViolation, match=r"p left the \[0, y\] box"):
-            engine._check_state(replace(init_confidence(ds), p=p), ds.candidates)
+            engine._check_state(state, ds.candidates, ds.noncandidates)
 
     def test_phat_must_stay_in_its_box(self, ds):
         phat = np.array(init_confidence(ds).phat)
         phat[0, 2] = 0.9  # below yhat = 1 on a non-candidate
+        state = replace(init_confidence(ds), phat=phat)
         with pytest.raises(InvariantViolation, match=r"phat left the \[yhat, 1\] box"):
-            engine._check_state(replace(init_confidence(ds), phat=phat), ds.candidates)
+            engine._check_state(state, ds.candidates, ds.noncandidates)
 
 
 class TestConfigValidation:
@@ -348,6 +350,25 @@ def test_one_n_by_n_array_per_run(base):
     finally:
         tracemalloc.stop()
     assert peak <= 0.8 * train.n_samples**2 * 8
+
+
+@pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
+def test_a_warm_run_holds_few_label_arrays(base):
+    # at 171 labels a round's n x l arrays outweigh the factor; a warm run,
+    # whose memo holds the mask, the layout and the factor, peaks at about
+    # 9.2 arrays of n_train x l (with as many test rows); a round that kept
+    # its last state or partner past their last read would exceed 12
+    ds = generate_synthetic(SyntheticSpec(n=1200, d=8, l=171, flip_q=1.1 / 170, seed=3))
+    train, test = split(ds, 0.5, seed=3)
+    config = EngineConfig(base=BaseClassifierKind(kind=base))
+    run_plcp(train, test.features, config)
+    tracemalloc.start()
+    try:
+        run_plcp(train, test.features, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * train.n_samples * train.label_count * 8
 
 
 def test_blocked_test_prediction_equals_one_cross_matrix():
@@ -559,11 +580,11 @@ class TestMemoryCheck:
 
     def test_label_arrays_count_beside_the_factor(self, monkeypatch):
         # 400 train rows at 171 labels: the factor and a block of test rows
-        # take 0.6 MiB, but 19 train and 2 test label arrays take 10 MiB more
+        # take 0.6 MiB, but 11 train and 2 test label arrays take 5.8 MiB more
         monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
         ds = generate_synthetic(SyntheticSpec(n=400, d=3, l=171, flip_q=1.1 / 170, seed=5))
         grams = count_calls(monkeypatch, kernel, "packed_gram")
-        message = r"400 train and 7 test samples with 171 labels need about 11 MiB.*19 train"
+        message = r"400 train and 7 test samples with 171 labels need about 6 MiB.*11 train"
         with pytest.raises(MemoryError, match=message):
             run_plcp(ds, ds.features[:7], EngineConfig())
         assert grams == []
