@@ -20,9 +20,15 @@ derived from it (see ``PartialLabelDataset.derived``), so each is built
 once per split, and one split's at a time are alive. The output files
 list the rows cell-major, in grid order.
 
-Results CSV schema (one row per seed per method):
+Results CSV schema (one row per seed per method; ``sweep.csv`` puts the
+cell's sweep axis values first):
     method, seed, test_accuracy, transductive_accuracy,
     correction_ratio, miscorrection_ratio, iterations_run, wall_ms
+
+Both write ``summary.csv``: per cell and method, the mean and std of each
+results column after the cell's axis values; a sweep with an empty
+``[sweep]`` section writes ``run``'s. The experiments are sweeps of the
+INI files in ``examples/``.
 
 ``wall_ms`` times the row's own call, so it leaves out the derived state
 an earlier call on the same train set already built: a ``-plcp`` row
@@ -484,11 +490,18 @@ def _run_cells(
     return tuple(list(itertools.chain.from_iterable(lists)) for lists in zip(*out))
 
 
-def _write_provenance(
-    exp: ExperimentConfig, failures: list, what: str, sweep: dict | None = None
+def _write_outputs(
+    exp: ExperimentConfig, rows: list, failures: list, what: str, sweep: dict | None = None
 ) -> int:
-    """Write ``resolved_config.ini`` (with the ``[sweep]`` axes of a sweep)
-    and, for failed runs, ``failures.csv``; return the exit code."""
+    """Write ``summary.csv``, one ``summarize`` per cell of the cell-major
+    ``rows`` after the cell's values of the ``sweep`` axes,
+    ``resolved_config.ini`` (with those axes) and, for failed runs,
+    ``failures.csv``; return the exit code."""
+    axes = tuple(sweep or ())
+    cells = itertools.groupby(rows, key=lambda row: tuple(row[axis] for axis in axes))
+    summary = [{**dict(zip(axes, values)), **entry}
+               for values, cell_rows in cells for entry in summarize(list(cell_rows))]
+    write_csv(exp.outputs / "summary.csv", axes + SUMMARY_FIELDS, summary)
     resolved = _resolved_ini(exp)
     if sweep is not None:
         resolved["sweep"] = sweep
@@ -496,8 +509,7 @@ def _write_provenance(
         resolved.write(fh)
     if not failures:
         return 0
-    fields = tuple(sweep or ()) + ("seed", "error")
-    write_csv(exp.outputs / "failures.csv", fields, failures)
+    write_csv(exp.outputs / "failures.csv", axes + ("seed", "error"), failures)
     print(f"{len(failures)} {what} failed; see failures.csv", file=sys.stderr)
     return 1
 
@@ -508,10 +520,9 @@ def run_experiment(exp: ExperimentConfig) -> int:
     rows, trajectory_rows, failures = _run_cells([({}, exp)], exp.seeds)
 
     write_csv(exp.outputs / "results.csv", RESULT_FIELDS, rows)
-    write_csv(exp.outputs / "summary.csv", SUMMARY_FIELDS, summarize(rows))
     if exp.emit_trajectories:
         write_csv(exp.outputs / "trajectories.csv", TRAJECTORY_FIELDS, trajectory_rows)
-    return _write_provenance(exp, failures, f"of {len(exp.seeds)} seeds")
+    return _write_outputs(exp, rows, failures, f"of {len(exp.seeds)} seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +569,10 @@ def run_sweep(config_path: str | Path) -> int:
     # with no axes the grid is the single cell of the configured values
     n_cells = math.prod(len(values) for values in axes.values())
     if n_cells > max_cells:
-        print(
+        raise ValueError(
             f"sweep grid has {n_cells} cells, above the cap of {max_cells}; "
-            "raise max_cells or shrink the grid",
-            file=sys.stderr,
+            "raise max_cells or shrink the grid"
         )
-        return 2
 
     # a sweep writes no trajectories, so its cells build none
     quiet = replace(exp, emit_trajectories=False)
@@ -580,7 +589,7 @@ def run_sweep(config_path: str | Path) -> int:
 
     write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
     sweep = {axis: cfg.get("sweep", axis) for axis in axes}
-    return _write_provenance(exp, failures, "sweep runs", sweep)
+    return _write_outputs(exp, rows, failures, "sweep runs", sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,16 @@ def should_stop(change_fracs: Sequence[float], threshold: float) -> bool:
 
 
 def _check_state(state: ConfidenceState, y: np.ndarray, yhat: np.ndarray) -> None:
+    # each test is a negated in-range test, so a NaN fails it
     off = y == 0
     for name, o in (("o", state.o), ("ohat", state.ohat)):
-        if np.abs(o.sum(axis=1) - 1.0).max() > 1e-9:
+        if not np.abs(o.sum(axis=1) - 1.0).max() <= 1e-9:
             raise InvariantViolation(f"{name} rows must sum to 1")
-        if off.any() and np.abs(o[off]).max() > 0.0:
+        if off.any() and not np.abs(o[off]).max() <= 0.0:
             raise InvariantViolation(f"{name} must vanish off-candidates")
-    if (state.p < -1e-12).any() or (state.p > y + 1e-12).any():
+    if not ((state.p >= -1e-12).all() and (state.p <= y + 1e-12).all()):
         raise InvariantViolation("p left the [0, y] box")
-    if (state.phat < yhat - 1e-12).any() or (state.phat > 1.0 + 1e-12).any():
+    if not ((state.phat >= yhat - 1e-12).all() and (state.phat <= 1.0 + 1e-12).all()):
         raise InvariantViolation("phat left the [yhat, 1] box")
 
 

@@ -443,32 +443,35 @@ class TestSweep:
             return original(exp, seed, data)
 
         monkeypatch.setattr(cli, "run_seed", failing_seed_2)
-        run_cfg = write(
-            tmp_path / "run.ini",
-            RUN_CONFIG.format(n=60, max_iter=2, seeds="1,2", out_dir=tmp_path / "run_out", emit="false"),
-        )
-        sweep_cfg = write(
-            tmp_path / "sweep.ini",
-            RUN_CONFIG.format(n=60, max_iter=2, seeds="1,2", out_dir=tmp_path / "sweep_out", emit="false")
-            + "\n[sweep]\ngamma = 2.0\n",
-        )
-        assert main(["run", run_cfg]) == 1
-        assert main(["sweep", sweep_cfg]) == 1
 
-        def read(name, *drop):
+        def config(out_dir, sweep=""):
+            text = RUN_CONFIG.format(
+                n=60, max_iter=2, seeds="1,2", out_dir=tmp_path / out_dir, emit="false"
+            )
+            return write(tmp_path / f"{out_dir}.ini", text + sweep)
+
+        assert main(["run", config("run_out")]) == 1
+        # one axis of one value, and an empty [sweep] section: no axis at all
+        assert main(["sweep", config("sweep_out", "\n[sweep]\ngamma = 2.0\n")]) == 1
+        assert main(["sweep", config("empty_out", "\n[sweep]\n")]) == 1
+
+        def read(name, axis=None):
+            """The rows without their wall_ms columns or ``axis``, which must be 2."""
             rows = read_results_csv(tmp_path / name)
-            return [{k: v for k, v in row.items() if k not in drop} for row in rows]
+            if axis is not None:
+                assert all(row.pop(axis) == 2.0 for row in rows)
+            return [{k: v for k, v in row.items() if not k.startswith("wall_ms")} for row in rows]
 
-        run_rows = read("run_out/results.csv", "wall_ms")
+        run_rows = read("run_out/results.csv")
         assert len(run_rows) == 2 and {row["seed"] for row in run_rows} == {1}
-        sweep_rows = read("sweep_out/sweep.csv", "wall_ms")
-        assert all(row.pop("gamma") == 2.0 for row in sweep_rows)
-        assert sweep_rows == run_rows
+        assert read("sweep_out/sweep.csv", "gamma") == read("empty_out/sweep.csv") == run_rows
         run_failures = read("run_out/failures.csv")
         assert run_failures == [{"seed": 2, "error": "RuntimeError: seed 2 fails"}]
-        sweep_failures = read("sweep_out/failures.csv")
-        assert all(row.pop("gamma") == 2.0 for row in sweep_failures)
-        assert sweep_failures == run_failures
+        assert read("sweep_out/failures.csv", "gamma") == run_failures
+        assert read("empty_out/failures.csv") == run_failures
+        run_summary = read("run_out/summary.csv")
+        assert [row["method"] for row in run_summary] == ["pl-knn", "pl-knn-plcp"]
+        assert read("sweep_out/summary.csv", "gamma") == read("empty_out/summary.csv") == run_summary
 
     def test_cells_build_no_trajectories(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, cli, "run_seed")
@@ -506,13 +509,19 @@ class TestSweep:
         big = [r for r in rows if r["gamma"] == 1e6]
         assert big and all(np.isfinite(r["test_accuracy"]) for r in big)
 
-    def test_grid_cap_refused(self, tmp_path):
+    def test_grid_cap_refused(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "sweep.ini",
             RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
             + "\n[sweep]\nmax_cells = 3\ngamma = 1,2\nalpha = 0.2,0.5\n",
         )
-        assert main(["sweep", cfg]) == 2
+        message = "sweep grid has 4 cells, above the cap of 3; raise max_cells or shrink the grid"
+        with pytest.raises(ValueError, match=message):
+            main(["sweep", cfg])
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert cli.console(["sweep", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"plcp: error: {message}\n" and captured.out == ""
 
     def test_base_alone_runs_once_per_seed(self, tmp_path, monkeypatch):
         # the base-alone run depends on neither alpha nor gamma
@@ -699,6 +708,14 @@ class TestSharedDerivedState:
         failures = read_results_csv(tmp_path / "out" / "failures.csv")
         assert [(r["alpha"], r["k_neighbors"], r["seed"]) for r in failures] == [
             (alpha, 40.0, seed) for alpha in (0.3, 0.7) for seed in (1, 2)
+        ]
+        # summary.csv: the cells' axis values, then one summary per cell that ran
+        summary = read_results_csv(tmp_path / "out" / "summary.csv")
+        assert list(summary[0]) == ["alpha", "k_neighbors", *cli.SUMMARY_FIELDS]
+        assert summary == [
+            {"alpha": alpha, "k_neighbors": 5.0, **entry}
+            for alpha in (0.3, 0.7)
+            for entry in cli.summarize([r for r in rows if r["alpha"] == alpha])
         ]
 
 

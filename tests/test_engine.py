@@ -266,6 +266,19 @@ class TestInvariantChecks:
         with pytest.raises(InvariantViolation, match=r"phat left the \[yhat, 1\] box"):
             engine._check_state(state, ds.candidates, ds.noncandidates)
 
+    @pytest.mark.parametrize("name, message", [
+        ("o", "o rows must sum to 1"),
+        ("ohat", "ohat rows must sum to 1"),
+        ("p", r"p left the \[0, y\] box"),
+        ("phat", r"phat left the \[yhat, 1\] box"),
+    ], ids=["o", "ohat", "p", "phat"])
+    def test_nan_fails_its_check(self, ds, name, message):
+        values = np.array(getattr(init_confidence(ds), name))
+        values[0, 0] = np.nan  # label 0 is a candidate of row 0
+        state = replace(init_confidence(ds), **{name: values})
+        with pytest.raises(InvariantViolation, match=message):
+            engine._check_state(state, ds.candidates, ds.noncandidates)
+
 
 class TestConfigValidation:
     def test_alpha_range(self):
