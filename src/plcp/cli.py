@@ -1,9 +1,9 @@
 """Experiment harness: dataset generation, paired runs, sweeps, inspection.
 
 Config files are flat INI (``key = value`` under sections). One table of
-INI keys, each naming the config fields it sets, drives parsing, the
-sweep axes and the resolved configuration that every ``run`` or
-``sweep`` writes next to its results for provenance. An unknown section
+INI keys, each naming the config fields it sets and its parser, drives
+parsing and the resolved config written beside the results; each sweep
+axis parses its values as its field's INI key does. An unknown section
 or key is a typo and raises a ``ValueError`` before any run starts.
 
 Seeding rule: each run seed expands into per-purpose streams through
@@ -11,8 +11,8 @@ Seeding rule: each run seed expands into per-purpose streams through
 (dataset, split). Appending new consumers never perturbs the existing
 streams.
 
-``run`` and ``sweep`` run their seeds through one seed-major loop over
-cells; ``run`` is the sweep of its one configured cell. For each seed the
+``run`` and ``sweep`` share one seed-major loop over cells and one output
+path; ``run`` is the sweep of its one configured cell. For each seed the
 loop builds each split once (only the ``flip_q`` axis gives a seed several
 splits) and runs that split's cells back to back. A train set keeps the
 sigma, ridge factors, kNN tables, gamma-0 partner fit and base-alone run
@@ -52,6 +52,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -185,15 +186,16 @@ GENERATE_KEYS = tuple(
 EXPERIMENT_SECTIONS = ("dataset", "engine", "base", "partner", "kernel", "run", "sweep")
 GENERATE_SECTIONS = ("synthetic", "output")
 
-# sweep axis -> the config path it varies. lambda moves the partner's ridge
-# only; a kernel-ls base keeps the [partner] ridge of the INI file.
+# sweep axis -> (the config path it varies, the parser of one value: that of
+# the path's INI key). lambda moves the partner's ridge only; a kernel-ls
+# base keeps the [partner] ridge of the INI file.
 SWEEP_AXES = {
-    "lambda": "engine.partner.kernel.ridge",
-    "alpha": "engine.alpha",
-    "gamma": "engine.partner.gamma",
-    "k": "engine.k",
-    "flip_q": "synthetic.flip_q",
-    "k_neighbors": "engine.base.k_neighbors",
+    "lambda": ("engine.partner.kernel.ridge", float),
+    "alpha": ("engine.alpha", float),
+    "gamma": ("engine.partner.gamma", float),
+    "k": ("engine.k", float),
+    "flip_q": ("synthetic.flip_q", float),
+    "k_neighbors": ("engine.base.k_neighbors", int),
 }
 
 # Defaults of the values the dataclasses leave open; the engine, base,
@@ -289,12 +291,16 @@ def _experiment_config(cfg: configparser.ConfigParser) -> ExperimentConfig:
     return _with(EXPERIMENT_DEFAULTS, changes)
 
 
-def _ini_text(value) -> str:
+def _fmt(value) -> str:
+    """The text of a config value or a CSV cell, as the INI keys read it."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return _fmt(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a NumPy scalar carries its type name: np.float64(0.5)
+        return repr(float(value))
+    return str(value)
 
 
 def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
@@ -307,7 +313,7 @@ def _resolved_ini(exp: ExperimentConfig) -> configparser.ConfigParser:
             continue
         if not out.has_section(key.section):
             out.add_section(key.section)
-        out.set(key.section, key.name, key.none if value is None else _ini_text(value))
+        out.set(key.section, key.name, key.none if value is None else _fmt(value))
     return out
 
 
@@ -382,13 +388,6 @@ def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None):
         ))
     ]
     return rows, trajectory_rows
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        # repr of a NumPy scalar carries its type name: np.float64(0.5)
-        return repr(float(value))
-    return str(value)
 
 
 def write_csv(path: Path, fields, rows) -> None:
@@ -490,17 +489,23 @@ def _run_cells(
     return tuple(list(itertools.chain.from_iterable(lists)) for lists in zip(*out))
 
 
-def _write_outputs(
-    exp: ExperimentConfig, rows: list, failures: list, what: str, sweep: dict | None = None
-) -> int:
-    """Write ``summary.csv``, one ``summarize`` per cell of the cell-major
-    ``rows`` after the cell's values of the ``sweep`` axes,
-    ``resolved_config.ini`` (with those axes) and, for failed runs,
-    ``failures.csv``; return the exit code."""
+def run_experiment(exp: ExperimentConfig, cells: list | None = None,
+                   sweep: dict | None = None) -> int:
+    """Run every seed of each (cell id, config) pair of ``cells``, by default
+    ``exp``'s one cell, and write ``results.csv`` (``trajectories.csv`` when
+    asked) or, given the ``sweep`` axes' INI text, ``sweep.csv``; then per
+    cell ``summary.csv``, ``resolved_config.ini`` with the ``sweep`` and, for
+    failed runs, ``failures.csv``. Return the exit code."""
     axes = tuple(sweep or ())
-    cells = itertools.groupby(rows, key=lambda row: tuple(row[axis] for axis in axes))
+    exp.outputs.mkdir(parents=True, exist_ok=True)
+    rows, trajectory_rows, failures = _run_cells(cells or [({}, exp)], exp.seeds)
+    write_csv(exp.outputs / ("results.csv" if sweep is None else "sweep.csv"),
+              axes + RESULT_FIELDS, rows)
+    if exp.emit_trajectories and sweep is None:
+        write_csv(exp.outputs / "trajectories.csv", TRAJECTORY_FIELDS, trajectory_rows)
+    by_cell = itertools.groupby(rows, key=lambda row: tuple(row[axis] for axis in axes))
     summary = [{**dict(zip(axes, values)), **entry}
-               for values, cell_rows in cells for entry in summarize(list(cell_rows))]
+               for values, cell_rows in by_cell for entry in summarize(list(cell_rows))]
     write_csv(exp.outputs / "summary.csv", axes + SUMMARY_FIELDS, summary)
     resolved = _resolved_ini(exp)
     if sweep is not None:
@@ -510,43 +515,18 @@ def _write_outputs(
     if not failures:
         return 0
     write_csv(exp.outputs / "failures.csv", axes + ("seed", "error"), failures)
+    what = f"of {len(exp.seeds)} seeds" if sweep is None else "sweep runs"
     print(f"{len(failures)} {what} failed; see failures.csv", file=sys.stderr)
     return 1
-
-
-def run_experiment(exp: ExperimentConfig) -> int:
-    """Run all seeds, write results/summary/trajectories, return exit code."""
-    exp.outputs.mkdir(parents=True, exist_ok=True)
-    rows, trajectory_rows, failures = _run_cells([({}, exp)], exp.seeds)
-
-    write_csv(exp.outputs / "results.csv", RESULT_FIELDS, rows)
-    if exp.emit_trajectories:
-        write_csv(exp.outputs / "trajectories.csv", TRAJECTORY_FIELDS, trajectory_rows)
-    return _write_outputs(exp, rows, failures, f"of {len(exp.seeds)} seeds")
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    """``exp`` with one sweep axis set to ``value``, cast to the field's type."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    if axis == "flip_q" and exp.synthetic is None:
-        raise ValueError("flip_q axis requires a synthetic dataset source")
-    path = SWEEP_AXES[axis]
-    field_type = type(_get_path(exp, path))
-    try:
-        if field_type is int and not float(value).is_integer():
-            raise ValueError("not an integer")
-        return _with(exp, {path: field_type(value)})
-    except ValueError as exc:
-        raise ValueError(f"[sweep] {axis} = {value}: {exc}") from exc
-
-
-def _axis_values(raw: str) -> list[float]:
-    values = [float(v) for v in raw.split(",") if v.strip()]
+def _axis_values(conv: Callable[[str], Any], raw: str) -> list:
+    """An axis's comma-separated values, each parsed by ``conv``."""
+    values = [conv(v) for v in raw.split(",") if v.strip()]
     if not values:
         raise ValueError(f"{raw!r} lists no values")
     if len(set(values)) < len(values):
@@ -555,8 +535,27 @@ def _axis_values(raw: str) -> list[float]:
 
 
 SWEEP_KEYS = (IniKey("sweep", "max_cells", ("max_cells",), int),) + tuple(
-    IniKey("sweep", axis, (axis,), _axis_values) for axis in SWEEP_AXES
+    IniKey("sweep", axis, (axis,), partial(_axis_values, conv))
+    for axis, (_, conv) in SWEEP_AXES.items()
 )
+
+
+def sweep_cells(exp: ExperimentConfig, axes: dict[str, list]) -> list:
+    """The (cell id, config) pairs of the grid of ``axes`` (axis -> values)
+    over ``exp``, in grid order; the cell id maps each axis to its value."""
+    if "flip_q" in axes and exp.synthetic is None:
+        raise ValueError("flip_q axis requires a synthetic dataset source")
+    cells = []
+    for combo in itertools.product(*axes.values()):
+        cell_id = dict(zip(axes, combo))
+        cell = exp
+        for axis, value in cell_id.items():
+            try:
+                cell = _with(cell, {SWEEP_AXES[axis][0]: value})
+            except ValueError as exc:
+                raise ValueError(f"[sweep] {axis} = {value}: {exc}") from exc
+        cells.append((cell_id, cell))
+    return cells
 
 
 def run_sweep(config_path: str | Path) -> int:
@@ -573,23 +572,9 @@ def run_sweep(config_path: str | Path) -> int:
             f"sweep grid has {n_cells} cells, above the cap of {max_cells}; "
             "raise max_cells or shrink the grid"
         )
-
     # a sweep writes no trajectories, so its cells build none
-    quiet = replace(exp, emit_trajectories=False)
-    cells = []
-    for combo in itertools.product(*axes.values()):
-        cell_id = dict(zip(axes, combo))
-        cell = quiet
-        for axis, value in cell_id.items():
-            cell = _apply_axis(cell, axis, value)
-        cells.append((cell_id, cell))
-
-    exp.outputs.mkdir(parents=True, exist_ok=True)
-    rows, _, failures = _run_cells(cells, exp.seeds)
-
-    write_csv(exp.outputs / "sweep.csv", tuple(axes) + RESULT_FIELDS, rows)
-    sweep = {axis: cfg.get("sweep", axis) for axis in axes}
-    return _write_outputs(exp, rows, failures, "sweep runs", sweep)
+    cells = sweep_cells(replace(exp, emit_trajectories=False), axes)
+    return run_experiment(exp, cells, {axis: cfg.get("sweep", axis) for axis in axes})
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,11 @@ def should_stop(change_fracs: Sequence[float], threshold: float) -> bool:
 
 def _check_state(state: ConfidenceState, y: np.ndarray, yhat: np.ndarray) -> None:
     # each test is a negated in-range test, so a NaN fails it
-    off = y == 0
     for name, o in (("o", state.o), ("ohat", state.ohat)):
         if not np.abs(o.sum(axis=1) - 1.0).max() <= 1e-9:
             raise InvariantViolation(f"{name} rows must sum to 1")
-        if off.any() and not np.abs(o[off]).max() <= 0.0:
+        # yhat is 1 exactly off-candidates, so this sums |o| there
+        if not np.vdot(np.abs(o), yhat) <= 0.0:
             raise InvariantViolation(f"{name} must vanish off-candidates")
     if not ((state.p >= -1e-12).all() and (state.p <= y + 1e-12).all()):
         raise InvariantViolation("p left the [0, y] box")

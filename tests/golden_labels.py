@@ -20,7 +20,6 @@ rewrites entries whose labels did not move.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -42,16 +41,11 @@ def _experiment(spec: SyntheticSpec, engine: EngineConfig) -> cli.ExperimentConf
 
 
 def _sweep(name: str, exp: cli.ExperimentConfig, seed: int, axes: dict) -> dict:
-    """The cells of a sweep of ``exp`` over ``axes``, in grid order, as
-    ``plcp sweep`` builds them."""
-    cells = {}
-    for values in itertools.product(*axes.values()):
-        cell = exp
-        for axis, value in zip(axes, values):
-            cell = cli._apply_axis(cell, axis, value)
-        label = " ".join(f"{axis}={value}" for axis, value in zip(axes, values))
-        cells[f"{name} {label}"] = cell, seed
-    return cells
+    """The cells of ``plcp sweep`` of ``exp`` over ``axes``, named by their values."""
+    return {
+        " ".join([name, *(f"{axis}={value}" for axis, value in cell_id.items())]): (cell, seed)
+        for cell_id, cell in cli.sweep_cells(exp, axes)
+    }
 
 
 def runs() -> list[dict[str, tuple[cli.ExperimentConfig, int]]]:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -14,12 +15,13 @@ import pytest
 from plcp import base, cli, kernel
 from plcp.base import BaseClassifierKind
 from plcp.cli import (
-    _apply_axis,
+    SWEEP_AXES,
     _resolved_ini,
     derive_streams,
     main,
     parse_experiment_config,
     read_results_csv,
+    sweep_cells,
 )
 from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, load_dataset
@@ -563,13 +565,17 @@ class TestSweep:
     @pytest.mark.parametrize(
         "sweep, message",
         [
-            ("k_neighbors = 5,2.5", r"\[sweep\] k_neighbors = 2\.5: not an integer"),
+            ("k_neighbors = 5,2.5", r"\[sweep\] k_neighbors: invalid literal for int\(\) .*'2\.5'"),
+            ("k_neighbors = 5.0", r"\[sweep\] k_neighbors: invalid literal for int\(\) .*'5\.0'"),
             ("gamma =", r"\[sweep\] gamma: '' lists no values"),
             ("max_cells = abc\ngamma = 1", r"\[sweep\] max_cells: .*'abc'"),
             ("alpha = 0.5,1.5", r"\[sweep\] alpha = 1\.5: alpha must be in \[0, 1\]"),
             ("gamma = 1,1", r"\[sweep\] gamma: '1,1' repeats a value"),
         ],
-        ids=["fractional-int", "no-values", "bad-max-cells", "out-of-range", "repeated"],
+        ids=[
+            "fractional-int", "int-written-as-float", "no-values", "bad-max-cells",
+            "out-of-range", "repeated",
+        ],
     )
     def test_bad_axis_value_names_key_before_any_cell(
         self, tmp_path, monkeypatch, sweep, message
@@ -700,23 +706,27 @@ class TestSharedDerivedState:
         assert main(["sweep", cfg]) == 1
         rows = read_results_csv(tmp_path / "out" / "sweep.csv")
         assert [(r["alpha"], r["k_neighbors"], r["seed"], r["method"]) for r in rows] == [
-            (alpha, 5.0, seed, method)
+            (alpha, 5, seed, method)
             for alpha in (0.3, 0.7)
             for seed in (1, 2)
             for method in ("pl-knn", "pl-knn-plcp")
         ]
         failures = read_results_csv(tmp_path / "out" / "failures.csv")
         assert [(r["alpha"], r["k_neighbors"], r["seed"]) for r in failures] == [
-            (alpha, 40.0, seed) for alpha in (0.3, 0.7) for seed in (1, 2)
+            (alpha, 40, seed) for alpha in (0.3, 0.7) for seed in (1, 2)
         ]
         # summary.csv: the cells' axis values, then one summary per cell that ran
         summary = read_results_csv(tmp_path / "out" / "summary.csv")
         assert list(summary[0]) == ["alpha", "k_neighbors", *cli.SUMMARY_FIELDS]
         assert summary == [
-            {"alpha": alpha, "k_neighbors": 5.0, **entry}
+            {"alpha": alpha, "k_neighbors": 5, **entry}
             for alpha in (0.3, 0.7)
             for entry in cli.summarize([r for r in rows if r["alpha"] == alpha])
         ]
+        # the integer axis is written as its INI key writes it, 5 and not 5.0
+        for name, text in (("sweep.csv", "5"), ("summary.csv", "5"), ("failures.csv", "40")):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                assert {row["k_neighbors"] for row in csv.DictReader(fh)} == {text}
 
 
 class TestInspect:
@@ -787,6 +797,8 @@ class TestConfigPlumbing:
 
 
 class TestApplyAxis:
+    """``sweep_cells`` sets each axis's field to the value its INI key parses."""
+
     @pytest.fixture
     def exp(self, tmp_path):
         return parse_experiment_config(write(tmp_path / "full.ini", FULL_CONFIG))
@@ -799,27 +811,32 @@ class TestApplyAxis:
             ("gamma", 8.0, lambda e: e.engine.partner.gamma),
             ("k", -4.0, lambda e: e.engine.k),
             ("flip_q", 0.45, lambda e: e.synthetic.flip_q),
-            ("k_neighbors", 4.0, lambda e: e.engine.base.k_neighbors),
+            ("k_neighbors", 4, lambda e: e.engine.base.k_neighbors),
         ],
     )
     def test_axis_sets_its_field(self, exp, axis, value, read):
-        cell = _apply_axis(exp, axis, value)
-        assert read(cell) == value
-        assert type(read(cell)) is type(read(exp))
-        assert _apply_axis(cell, axis, read(exp)) == exp
+        [(cell_id, cell)] = sweep_cells(exp, {axis: [value]})
+        assert cell_id == {axis: value} and read(cell) == value
+        assert type(read(cell)) is type(read(exp)) is SWEEP_AXES[axis][1]
+        assert sweep_cells(cell, {axis: [read(exp)]}) == [({axis: read(exp)}, exp)]
+
+    def test_axis_parses_as_its_ini_key(self):
+        convs = {
+            path: key.conv
+            for key in cli.DATASET_KEYS["synthetic"] + cli.CONFIG_KEYS
+            for path in key.paths
+        }
+        assert all(conv is convs[path] for path, conv in SWEEP_AXES.values())
 
     def test_lambda_leaves_base_ridge(self, exp):
-        cell = _apply_axis(exp, "lambda", 0.3)
+        [(_, cell)] = sweep_cells(exp, {"lambda": [0.3]})
+        assert cell.engine.partner.kernel.ridge == 0.3
         assert cell.engine.base.kernel.ridge == exp.engine.base.kernel.ridge == 0.1
-
-    def test_unknown_axis(self, exp):
-        with pytest.raises(ValueError, match="unknown sweep axis"):
-            _apply_axis(exp, "sigma", 1.0)
 
     def test_flip_q_needs_synthetic_source(self, tmp_path):
         exp = parse_experiment_config(write(tmp_path / "files.ini", FILES_CONFIG))
         with pytest.raises(ValueError, match="synthetic dataset source"):
-            _apply_axis(exp, "flip_q", 0.2)
+            sweep_cells(exp, {"flip_q": [0.2]})
 
 
 class TestIniTypos:
