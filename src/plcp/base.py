@@ -7,7 +7,7 @@ shares the partner's dual solver. One call, :func:`fit_predict_base`,
 answers the train rows and any query rows from one fit. What a fit reads
 besides the supervision does not change between rounds of a run: PL-KNN's
 neighbour table comes from one k-d tree query, rechecked exactly, and the
-kernel least-squares base reuses one factored ridge system; the engine
+kernel least-squares base reuses one ridge system; the engine
 takes both from the train set's memo, so each is built once per train set.
 """
 
@@ -138,7 +138,7 @@ def prepare(kind: BaseClassifierKind, dataset: PartialLabelDataset):
         return neighbour_table(
             dataset.features, dataset.features, kind.k_neighbors, exclude_self=True
         )
-    return kernel.ridge_system(dataset.features, kind.kernel)
+    return kernel.ridge_system(dataset.features, kind.kernel, dataset.label_count)
 
 
 def fit_predict_base(

@@ -406,9 +406,12 @@ TEXT_COLUMNS = ("method", "error")
 def read_results_csv(path: str | Path) -> list[dict]:
     """Parse a results CSV back into typed rows (round-trips write_csv).
 
-    Integer columns parse as ``int``, text columns stay strings, and every
-    other non-empty cell must parse as a ``float``.
+    Integer columns parse as ``int``, a sweep axis's column with that
+    axis's parser, text columns stay strings, and every other non-empty cell
+    must parse as a ``float``.
     """
+    parsers = {axis: conv for axis, (_, conv) in SWEEP_AXES.items()}
+    parsers.update(dict.fromkeys(INT_COLUMNS, int))
     out = []
     with open(path, newline="") as fh:
         for number, row in enumerate(csv.DictReader(fh), start=1):
@@ -417,7 +420,7 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 if key in TEXT_COLUMNS or (value == "" and key not in INT_COLUMNS):
                     continue
                 try:
-                    parsed[key] = (int if key in INT_COLUMNS else float)(value)
+                    parsed[key] = parsers.get(key, float)(value)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {number}, column {key!r}: cannot parse {value!r}"

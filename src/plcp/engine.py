@@ -9,7 +9,7 @@ fall below the threshold, and always within ``max_iter`` rounds. Test
 predictions come from the partner of the final iteration.
 
 Each run starts with one setup step (:func:`_prepare`): the memory check,
-the drop of the memo's unused factors if the run builds one, then what
+the drop of the memo's unused ridge systems if the run builds one, then what
 depends only on the train set, from its memo: the Gaussian bandwidth, the
 row QP's candidate layout, the PL-KNN neighbour table and each ridge
 system. So the base-alone run and every coupled run and round on one
@@ -171,20 +171,24 @@ def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> Non
     """Refuse a run whose arrays cannot fit in physical memory.
 
     The estimate counts one packed factor of n_train(n_train+1)/2 entries
-    per ridge system of ``specs``, one block of test rows of the kernel
-    matrix and the n x l arrays of a round and of its test output; the
-    bandwidth's distances never set the peak (see :func:`_prepare`).
+    per ridge system of ``specs`` (or, if :func:`kernel.holds_inverse`, an
+    n_train^2 inverse, and once the triangle it is unpacked from), one block
+    of test rows of the kernel matrix and the n x l arrays of a round and of
+    its test output; the bandwidth's distances never set the peak (see
+    :func:`_prepare`).
     """
     triangle = n_train * (n_train + 1) // 2
+    square = bool(specs) and kernel.holds_inverse(n_train, n_labels)
+    systems = len(specs) * (n_train**2 if square else triangle) + square * triangle
     block = min(n_test, kernel.block_rows(n_train))
     labels = (_TRAIN_ARRAYS * n_train + _TEST_ARRAYS * n_test) * n_labels
-    estimate = 8 * (len(specs) * triangle + n_train * block + labels)
-    memory = _physical_memory()
+    estimate = 8 * (systems + n_train * block + labels)
+    memory, held = _physical_memory(), "a square inverse" if square else "a packed triangle"
     if estimate > memory:
         raise MemoryError(
             f"{n_train} train and {n_test} test samples with {n_labels} labels need "
             f"about {estimate / 2**20:.0f} MiB for {len(specs)} ridge system(s) of "
-            f"{n_train}x{n_train}, each a packed triangle, one block of test rows and "
+            f"{n_train}x{n_train}, each {held}, one block of test rows and "
             f"{_TRAIN_ARRAYS} train and {_TEST_ARRAYS} test arrays of {n_labels} labels, "
             f"but physical memory is {memory / 2**20:.0f} MiB"
         )
@@ -213,11 +217,11 @@ def _prepare(
     Returns ``base`` with its Gaussian bandwidth pinned, the base's kNN
     table (one per k) or ridge system, and the pinned ``partner_spec`` with
     its ridge system (None, None without one). In order: the memory check;
-    if the memo lacks a factor or the bandwidth of the run, the drop of the
-    memo's factors it does not use; the bandwidth, whose n(n-1)/2 distances
-    so sit beside fewer factors than the run keeps; the partner's candidate
+    if the memo lacks a system or the bandwidth of the run, the drop of the
+    memo's systems it does not use; the bandwidth, whose n(n-1)/2 distances
+    so sit beside fewer systems than the run keeps; the partner's candidate
     layout, the kNN table and the new ridge systems (partner, then a
-    kernel-ls base). The memo holds one run's factors, and a sweep, whose
+    kernel-ls base). The memo holds one run's systems, and a sweep, whose
     cells come ridge-outer, builds each once per dataset.
     """
     x, knn = dataset.features, base.kind == "pl-knn"
@@ -241,7 +245,7 @@ def _prepare(
         prepared = dataset.derived(key, lambda: base_mod.prepare(base, dataset))
     for spec in specs:
         if spec not in systems:
-            systems[spec] = kernel.ridge_system(x, spec)
+            systems[spec] = kernel.ridge_system(x, spec, dataset.label_count)
     if not knn:
         base = replace(base, kernel=specs[-1])
         prepared = systems[base.kernel]

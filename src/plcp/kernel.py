@@ -16,16 +16,18 @@ so a Cholesky factorization is always applicable. ``B`` and ``s`` depend on
 the gram and the ridge only, so a :class:`RidgeSystem` factors them once
 per (gram, ridge) and every solve onto a new target ``C`` reuses that factor.
 
-The factor is the one n x n object a run keeps, and it is kept in
-rectangular full packed (RFP) form: LAPACK's layout of one triangle in
-n(n+1)/2 doubles that its level-3 ``pftrf``/``pftrs`` factor and solve
-(Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010).
-:func:`packed_gram` fills that buffer with the gram's lower triangle, in
-blocks of rows, and :func:`ridge_system` turns it into ``B`` and then
-into its factor without a copy. The one-off
-:func:`kkt_solve` on a given gram packs a copy and takes the same path.
+A system keeps one n x n object: its factor, in rectangular full packed
+(RFP) form, LAPACK's layout of one triangle in n(n+1)/2 doubles that its
+level-3 ``pftrf``/``pftrs``/``pftri`` factor, solve and invert (Gustavson,
+Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010), or ``B^{-1}``,
+against which a solve is one GEMM instead of two triangular solves, where
+its one-off inversion repays itself within about 20 solves: n <= 20 l and
+n <= 1500 (:func:`holds_inverse`). :func:`packed_gram` fills that buffer
+with the gram's lower triangle, in blocks of rows, and :func:`ridge_system`
+turns it into ``B`` and then into its factor without a copy. The one-off
+:func:`kkt_solve` on a given gram packs a copy and keeps the factor.
 Query rows are predicted one block at a time (:func:`predict_query`), so
-no query-by-train kernel matrix is alive beside the factor.
+no query-by-train kernel matrix is alive beside the system.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dtfttr, dtrttf
 from scipy.spatial.distance import cdist, pdist
 
 
@@ -63,16 +65,17 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class RidgeSystem:
-    """The factored system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
+    """The factored or inverted system ``B = K/(2*ridge) + I/2`` of one (gram, ridge).
 
     Built by :func:`ridge_system`, whose factor lives in the buffer
     :func:`packed_gram` filled. Every :func:`kkt_solve` on it reuses the
-    factor and ``s_row``.
+    factor or the inverse, and ``s_row``.
     """
 
     ridge: float
-    factor: np.ndarray  # (n(n+1)/2,) lower Cholesky factor of B, RFP with TRANSR='N'
+    factor: np.ndarray | None  # (n(n+1)/2,) lower Cholesky factor of B, RFP with TRANSR='N'
     s_row: np.ndarray  # (n,) 1^T B^{-1}
+    inverse: np.ndarray | None = None  # (n, n) B^{-1}, in place of the factor
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ _BLOCK_ENTRIES = 1 << 17
 def block_rows(width: int) -> int:
     """Rows per block of a loop over rows ``width`` entries wide: the
     distance rows of the neighbour table's rows ranked among all train rows,
-    :func:`packed_gram`'s kernel rows and :func:`predict_query`'s query rows."""
+    :func:`packed_gram`'s kernel rows, :func:`predict_query`'s query rows
+    and the columns of an inverse that :func:`ridge_system` mirrors."""
     return max(1, _BLOCK_ENTRIES // width)
 
 
@@ -195,14 +199,23 @@ def _packed_diagonal(n: int) -> np.ndarray:
     return np.concatenate([lead * (rows + 1) + 1 - n % 2, trail * (rows + 1) + n % 2 * rows])
 
 
-def ridge_system(x: np.ndarray, spec: KernelSpec) -> RidgeSystem:
+def holds_inverse(n: int, labels: int) -> bool:
+    """Whether a system of ``n`` rows, solved onto ``labels`` columns, keeps ``B^{-1}``."""
+    # up to 1500 rows the inversion costs about n / l solves' savings, more
+    # above (CHANGES.md has the measured grid), so it pays within 20 solves here
+    return n <= min(20 * labels, 1500)
+
+
+def ridge_system(x: np.ndarray, spec: KernelSpec, labels: int = 0) -> RidgeSystem:
     """Factor ``B = K/(2*ridge) + I/2`` of ``x``'s gram under ``spec`` once
-    for every solve on it, in the buffer of :func:`packed_gram`."""
-    return _factor(packed_gram(x, spec), spec.ridge)
+    for every solve on it onto ``labels`` columns, in the buffer of
+    :func:`packed_gram`, then invert it if :func:`holds_inverse`."""
+    return _factor(packed_gram(x, spec), spec.ridge, labels)
 
 
-def _factor(packed: np.ndarray, ridge: float) -> RidgeSystem:
-    """Turn ``packed``, a packed gram, into ``B`` and then into its factor.
+def _factor(packed: np.ndarray, ridge: float, labels: int = 0) -> RidgeSystem:
+    """Turn ``packed``, a packed gram, into ``B`` and then into its factor
+    or, for ``labels`` columns where :func:`holds_inverse`, its inverse.
 
     Raises a ``RuntimeError`` that names the failing leading minor when the
     (theoretically SPD) system turns out not positive definite, which
@@ -218,7 +231,15 @@ def _factor(packed: np.ndarray, ridge: float) -> RidgeSystem:
             f"singular {n}x{n} ridge system at ridge {ridge}: {exc}; "
             "check the kernel matrix for non-PSD structure"
         ) from exc
-    return RidgeSystem(ridge=ridge, factor=factor, s_row=_solve(factor, np.ones(n)))
+    s_row = _solve(factor, np.ones(n))
+    if not holds_inverse(n, labels):
+        return RidgeSystem(ridge=ridge, factor=factor, s_row=s_row)
+    # B^{-1}'s lower triangle over an upper one f2py zeroed, mirrored by blocks
+    inverse = dtfttr(n, dpftri(n, factor, uplo="L", overwrite_a=1)[0], uplo="L")[0]
+    step = block_rows(n)
+    for a in range(0, n, step):
+        inverse[a : a + step, a:] += np.tril(inverse[a:, a : a + step], -1).T
+    return RidgeSystem(ridge=ridge, factor=None, s_row=s_row, inverse=inverse)
 
 
 def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -255,7 +276,8 @@ def kkt_solve(
         )
     s_row = system.s_row
     bias = (s_row @ target) / s_row.sum()
-    dual = _solve(system.factor, target - bias)
+    rhs = target - bias
+    dual = _solve(system.factor, rhs) if system.inverse is None else (rhs.T @ system.inverse).T
     return KernelSolve(
         dual_coeffs=dual, bias=bias, ridge=system.ridge, fitted=target - 0.5 * dual
     )

@@ -90,7 +90,7 @@ def fit_partner(
         raise ValueError("supervision shape must match the candidate matrix")
     yhat, layout = dataset.noncandidates, candidate_layout(dataset)
     if system is None:
-        system = kernel.ridge_system(dataset.features, config.kernel)
+        system = kernel.ridge_system(dataset.features, config.kernel, dataset.label_count)
     elif system.ridge != config.kernel.ridge:
         raise ValueError("the ridge system's ridge differs from config.kernel.ridge")
 

@@ -264,7 +264,9 @@ class TestKernelLs:
         kind = BaseClassifierKind(kind="kernel-ls")
         m, out = fit_predict_base(kind, ds, supervision, query=query)
         assert out.tobytes() == fit_predict_base(kind, ds, supervision, query=query)[1].tobytes()
-        solve = kernel.kkt_solve(kernel.ridge_system(ds.features, kind.kernel), supervision)
+        # the base builds its system for the dataset's 30 labels
+        system = kernel.ridge_system(ds.features, kind.kernel, ds.label_count)
+        solve = kernel.kkt_solve(system, supervision)
         np.testing.assert_array_equal(m, solve.fitted)
         whole = kernel.predict(solve, kernel.cross_matrix(query, ds.features, kind.kernel))
         np.testing.assert_allclose(out, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())

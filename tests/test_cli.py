@@ -728,6 +728,25 @@ class TestSharedDerivedState:
             with open(tmp_path / "out" / name, newline="") as fh:
                 assert {row["k_neighbors"] for row in csv.DictReader(fh)} == {text}
 
+    def test_integer_axis_reads_back_as_int(self, tmp_path):
+        # k_neighbors parses as its INI key does, so sweep.csv, summary.csv
+        # and failures.csv read it back as the int that was written
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nk_neighbors = 40,3,5\n",
+        )
+        assert main(["sweep", cfg]) == 1
+        read = {}
+        for name in ("sweep.csv", "summary.csv", "failures.csv"):
+            rows = read_results_csv(tmp_path / "out" / name)
+            read[name] = [(type(r["k_neighbors"]), r["k_neighbors"]) for r in rows]
+        assert read == {
+            "sweep.csv": [(int, 3)] * 2 + [(int, 5)] * 2,
+            "summary.csv": [(int, 3)] * 2 + [(int, 5)] * 2,
+            "failures.csv": [(int, 40)],
+        }
+
 
 class TestInspect:
     def test_prints_stats(self, tmp_path, capsys):

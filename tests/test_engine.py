@@ -334,6 +334,26 @@ def test_run_base_alone_uses_candidate_mask():
     assert test_labels.shape == (2,)
 
 
+@pytest.mark.parametrize("labels, inverse", [(30, True), (2, False)])
+def test_systems_built_for_reuse_follow_the_rule(monkeypatch, labels, inverse):
+    # 60 train rows: at 30 labels a system holds B^{-1}, at 2 the factor,
+    # whether a run's setup, the base or a partner fit alone builds it
+    built, original = [], kernel.ridge_system
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(kernel, "ridge_system", recording)
+    ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=labels, flip_q=0.3, seed=5))
+    train, test = split(ds, 0.5, seed=1)
+    kind = BaseClassifierKind(kind="kernel-ls")
+    run_plcp(train, test.features, EngineConfig(base=kind, max_iter=1))
+    base_mod.prepare(kind, train)
+    partner.fit_partner(train, init_confidence(train, -1.0).o, PartnerConfig())
+    assert [s.inverse is not None for s in built] == [inverse] * 3
+
+
 @pytest.mark.parametrize("n_test", [0, 7])
 def test_run_base_alone_kernel_ls_builds_one_gram_and_factor(monkeypatch, n_test):
     grams = count_calls(monkeypatch, kernel, "packed_gram")
@@ -592,16 +612,66 @@ class TestMemoryCheck:
         assert list(ds._memo["ridge"]) == both and grams == []
 
     def test_label_arrays_count_beside_the_factor(self, monkeypatch):
-        # 400 train rows at 171 labels: the factor and a block of test rows
-        # take 0.6 MiB, but 11 train and 2 test label arrays take 5.8 MiB more
+        # 400 train rows at 171 labels: the inverse, the triangle it is
+        # unpacked from and a block of test rows take 1.8 MiB, but 11 train
+        # and 2 test label arrays take 5.8 MiB more
         monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
         ds = generate_synthetic(SyntheticSpec(n=400, d=3, l=171, flip_q=1.1 / 170, seed=5))
         grams = count_calls(monkeypatch, kernel, "packed_gram")
-        message = r"400 train and 7 test samples with 171 labels need about 6 MiB.*11 train"
+        message = (
+            r"400 train and 7 test samples with 171 labels need about 8 MiB"
+            r".*each a square inverse.*11 train"
+        )
         with pytest.raises(MemoryError, match=message):
             run_plcp(ds, ds.features[:7], EngineConfig())
         assert grams == []
         engine._check_memory(400, 7, 5, (KernelSpec(),))
+
+    @staticmethod
+    def charged(monkeypatch, n_train, n_labels, specs):
+        """The bytes the check charges: the least physical memory it accepts."""
+        low, high = 0, 1 << 40
+        while low < high:
+            memory = (low + high) // 2
+            monkeypatch.setattr(engine, "_physical_memory", lambda: memory)
+            try:
+                engine._check_memory(n_train, 0, n_labels, specs)
+                high = memory
+            except MemoryError:
+                low = memory + 1
+        return low
+
+    @pytest.mark.parametrize(
+        "n_train, n_labels, held, build",
+        [(600, 30, 600 * 600, 600 * 601 // 2), (601, 30, 601 * 602 // 2, 0),
+         (1500, 171, 1500 * 1500, 1500 * 1501 // 2), (2000, 5, 2000 * 2001 // 2, 0)],
+    )
+    def test_estimate_charges_what_each_system_holds(
+        self, monkeypatch, n_train, n_labels, held, build
+    ):
+        # an inverse-held system charges n_train^2 and, once, the packed
+        # triangle it is unpacked from; a factor its n_train(n_train+1)/2
+        specs = (KernelSpec(), KernelSpec(ridge=0.2))
+        none, one, two = (
+            self.charged(monkeypatch, n_train, n_labels, specs[:k]) for k in range(3)
+        )
+        assert (two - one, one - none) == (8 * held, 8 * (held + build))
+
+    def test_inverse_builds_in_its_charge(self, monkeypatch):
+        # the build of an inverse peaks at what the check charges for it and
+        # a row block's temporaries, about 1.2 MiB
+        n, labels = 1500, 171
+        charge = self.charged(monkeypatch, n, labels, (KernelSpec(),))
+        charge -= self.charged(monkeypatch, n, labels, ())
+        x = np.random.default_rng(4).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            system = kernel.ridge_system(x, KernelSpec(sigma=3.0), labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.inverse is not None
+        assert charge <= peak <= charge + (2 << 20)
 
     def test_linear_system_builds_in_the_memory_of_a_gaussian_one(self, monkeypatch):
         # a linear gram is packed from row blocks, as a Gaussian one is, so

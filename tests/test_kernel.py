@@ -14,6 +14,7 @@ from plcp.kernel import (
     RidgeSystem,
     cross_matrix,
     gram_matrix,
+    holds_inverse,
     kkt_solve,
     packed_gram,
     predict,
@@ -340,13 +341,29 @@ class TestPackedGram:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 51])
     def test_factor_is_the_cholesky_factor_of_b(self, n):
+        # a system built for no label count, as a one-off solve's is, keeps
+        # the factor
         x = np.random.default_rng(n).normal(size=(n, 3))
         spec = KernelSpec(sigma=1.5, ridge=0.1)
         system = ridge_system(x, spec)
+        assert system.inverse is None
         lower, info = dtfttr(n, system.factor, transr="N", uplo="L")
         assert info == 0
         b = gram_matrix(x, spec) / (2.0 * spec.ridge) + 0.5 * np.eye(n)
         np.testing.assert_allclose(np.tril(lower), np.linalg.cholesky(b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(system.s_row, np.linalg.solve(b, np.ones(n)), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 51, 300, 301])
+    def test_inverse_is_the_symmetric_inverse_of_b(self, n, monkeypatch):
+        # blocks of 7 columns mirror the lower triangle in several pieces
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 7 * n)
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        spec = KernelSpec(sigma=1.5, ridge=0.1)
+        system = ridge_system(x, spec, labels=30)
+        assert system.factor is None and system.inverse.shape == (n, n)
+        np.testing.assert_array_equal(system.inverse, system.inverse.T)
+        b = gram_matrix(x, spec) / (2.0 * spec.ridge) + 0.5 * np.eye(n)
+        np.testing.assert_allclose(system.inverse @ b, np.eye(n), rtol=0, atol=1e-10)
         np.testing.assert_allclose(system.s_row, np.linalg.solve(b, np.ones(n)), atol=1e-10)
 
     def test_system_keeps_half_of_an_n_by_n_array(self):
@@ -380,6 +397,43 @@ class TestRidgeSystem:
                     np.testing.assert_allclose(
                         getattr(shared, name), getattr(one_off, name), rtol=0.0, atol=atol
                     )
+
+    @pytest.mark.parametrize(
+        "n, labels",
+        [
+            (100, 5), (99, 5), (600, 30), (599, 30), (1500, 171), (1499, 171),  # inverse
+            (101, 5), (102, 5), (601, 30), (602, 30), (1501, 171), (1502, 171),  # factor
+        ],
+    )
+    def test_inverse_and_factor_solves_agree(self, monkeypatch, n, labels):
+        # shapes on both sides of the rule, odd and even; the other path is
+        # forced; dual, bias and fitted agree to 1e-12 of their largest entry
+        x = np.random.default_rng(n).normal(size=(n, 8))
+        target = np.random.default_rng(labels).random((n, labels))
+        spec = KernelSpec()
+        system = ridge_system(x, spec, labels)
+        monkeypatch.setattr(kernel, "holds_inverse", lambda n, labels: system.factor is not None)
+        other = ridge_system(x, spec, labels)
+        assert (system.inverse is None) != (other.inverse is None)
+        one, two = kkt_solve(system, target), kkt_solve(other, target)
+        for name in ("dual_coeffs", "bias", "fitted"):
+            want = getattr(one, name)
+            np.testing.assert_allclose(
+                getattr(two, name), want, rtol=0.0, atol=1e-12 * np.abs(want).max()
+            )
+
+    @pytest.mark.parametrize(
+        "n, labels, inverse",
+        [
+            # the last inverse shape and the first factor shape of each label
+            # count: n_train <= 20 l, up to 1500 rows
+            (40, 2, True), (41, 2, False), (100, 5, True), (101, 5, False),
+            (600, 30, True), (601, 30, False), (1500, 171, True), (1501, 171, False),
+            (1, 0, False), (2000, 5, False),
+        ],
+    )
+    def test_rule_boundary(self, n, labels, inverse):
+        assert holds_inverse(n, labels) is inverse
 
     def test_gram_left_untouched(self):
         # the one-off solve factors a copy of the caller's gram
