@@ -8,7 +8,7 @@ answers the train rows and any query rows from one fit. What a fit reads
 besides the supervision does not change between rounds of a run: PL-KNN's
 neighbour table comes from one k-d tree query, rechecked exactly, and the
 kernel least-squares base reuses one ridge system; the engine
-takes both from the train set's memo, so each is built once per train set.
+takes both from the train set's ``setup``, so each is built once per train set.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ streams.
 ``run`` and ``sweep`` share one seed-major loop over cells and one output
 path; ``run`` is the sweep of its one configured cell. For each seed the
 loop builds each split once (only the ``flip_q`` axis gives a seed several
-splits) and runs that split's cells back to back. A train set keeps the
-sigma, ridge factors, kNN tables, gamma-0 partner fit and base-alone run
-derived from it (see ``PartialLabelDataset.derived``), so each is built
-once per split, and one split's at a time are alive. The output files
-list the rows cell-major, in grid order.
+splits) and runs that split's cells back to back. What the runs on a
+train set share lives in its ``setup`` (see ``core.TrainSetup``), so each
+piece is built once per split, and one split's at a time are alive. The
+output files list the rows cell-major, in grid order.
 
 Results CSV schema (one row per seed per method; ``sweep.csv`` puts the
 cell's sweep axis values first):
@@ -350,16 +349,15 @@ def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None):
 
     ``data`` is the seed's (train, test) split, built here when absent. The
     base-alone run depends on nothing but the split and the base config, so
-    it is kept on the train set (see ``PartialLabelDataset.derived``), keyed
-    by the base config and a digest of the test rows. Returns (result rows,
+    it is kept in ``train.setup.base_alone``. Returns (result rows,
     trajectory rows).
     """
     train, test = _split(exp, seed) if data is None else data
-    base = exp.engine.base
-    key = ("base-alone", base, hashlib.sha256(test.features).hexdigest())
-    (base_train, base_test), base_ms = train.derived(
-        key, lambda: _timed(run_base_alone, train, test.features, base)
-    )
+    base, runs = exp.engine.base, train.setup.base_alone
+    key = base, hashlib.sha256(test.features).hexdigest()
+    if key not in runs:
+        runs[key] = _timed(run_base_alone, train, test.features, base)
+    (base_train, base_test), base_ms = runs[key]
     report, plcp_ms = _timed(run_plcp, train, test.features, exp.engine)
 
     def row(method, train_labels, test_labels, iterations, wall_ms):

@@ -9,13 +9,16 @@ only in blurred, row-normalized form (``o``, ``ohat``).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import blur
+from . import blur, qp
+
+if TYPE_CHECKING:
+    from . import base, kernel, partner
 
 
 class InvariantViolation(AssertionError):
@@ -27,6 +30,30 @@ def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+@dataclass
+class TrainSetup:
+    """What the runs on one train set share. Each piece is built by the
+    first run that needs it and lives as long as the dataset object; a new
+    dataset, even with equal contents, builds its own.
+
+    ``sigma``: the Gaussian bandwidth, resolved at most once. ``systems``:
+    the ridge systems of the latest run only. A run that lacks one of its
+    systems or the bandwidth first drops the systems it does not use, so the
+    bandwidth's n(n-1)/2 distances sit beside fewer systems than the run
+    keeps; a sweep, whose cells come ridge-outer, builds each once.
+    ``neighbours``: one PL-KNN table per neighbour count. ``gamma0``: the
+    partner fit of the latest gamma-0 config, which never reads its
+    supervision, released before another config's is fitted. ``base_alone``:
+    (train, test) labels and wall ms per base config and test-row digest.
+    """
+
+    sigma: float | None = None
+    systems: dict[kernel.KernelSpec, kernel.RidgeSystem] = field(default_factory=dict)
+    neighbours: dict[int, np.ndarray] = field(default_factory=dict)
+    gamma0: tuple[partner.PartnerConfig, partner.PartnerModel] | None = None
+    base_alone: dict[tuple[base.BaseClassifierKind, str], tuple] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -43,20 +70,14 @@ class PartialLabelDataset:
         sit inside each sample's candidate set.
 
     The dataset keeps read-only copies of its arrays, so what is derived
-    from them can never go stale. It also memoizes that derived state (see
-    :meth:`derived`): the non-candidate mask, the resolved Gaussian
-    bandwidth, the ridge systems of the latest run, one neighbour table per
-    neighbour count, the row QP's candidate layout, the partner fit of the
-    latest gamma-0 config and one base-alone run per base config and test
-    set. The memo lives as long as the dataset object, so every run on the
-    same train set shares these, and a new dataset, even with equal
-    contents, builds its own.
+    from them can never go stale; ``setup`` holds what runs on it share
+    (see :class:`TrainSetup`).
     """
 
     features: np.ndarray
     candidates: np.ndarray
     ground_truth: np.ndarray | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    setup: TrainSetup = field(default_factory=TrainSetup, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _frozen(self.features, float)
@@ -97,12 +118,6 @@ class PartialLabelDataset:
                     f"ground truth outside candidate set at row {outside[0]}"
                 )
 
-    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
-        """What ``build()`` returns, built once per ``key`` for this dataset."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
@@ -115,11 +130,15 @@ class PartialLabelDataset:
     def label_count(self) -> int:
         return self.candidates.shape[1]
 
-    @property
+    @cached_property
     def noncandidates(self) -> np.ndarray:
-        """Complement mask: 1 exactly where a label is known to be wrong.
-        One read-only array per dataset, built once in its memo."""
-        return self.derived("noncandidates", lambda: _frozen(self.candidates == 0, float))
+        """Complement mask, read-only: 1 exactly where a label is known wrong."""
+        return _frozen(self.candidates == 0, float)
+
+    @cached_property
+    def candidate_layout(self) -> qp.CandidateLayout:
+        """The row QP's layout of the candidates, one per dataset."""
+        return qp.candidate_layout(self.noncandidates)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,12 @@ label-change fraction; the loop stops early once two fractions in a row
 fall below the threshold, and always within ``max_iter`` rounds. Test
 predictions come from the partner of the final iteration.
 
-Each run starts with one setup step (:func:`_prepare`): the memory check,
-the drop of the memo's unused ridge systems if the run builds one, then what
-depends only on the train set, from its memo: the Gaussian bandwidth, the
-row QP's candidate layout, the PL-KNN neighbour table and each ridge
-system. So the base-alone run and every coupled run and round on one
-dataset object build each once. The partner fit at gamma 0,
-which never reads its supervision, is memoized too. Both runs take the
-base's outputs from :func:`base.fit_predict_base`, whose one fit answers
-the train rows and, when asked, the test rows.
+Each run starts with one setup step (:func:`_prepare`), which reads and
+fills the train set's :class:`~plcp.core.TrainSetup`, so every run and
+round on one dataset object shares its bandwidth, ridge systems, neighbour
+table and gamma-0 partner fit. Both runs take the base's outputs from
+:func:`base.fit_predict_base`, whose one fit answers the train rows and,
+when asked, the test rows.
 """
 
 from __future__ import annotations
@@ -141,15 +138,14 @@ def _snapshot(
 
 
 def _fit_partner(dataset: PartialLabelDataset, o, cfg, system) -> partner.PartnerModel:
-    """The partner fit on ``o``. At gamma 0 it never reads ``o``, so the memo
-    keeps one such fit, of the latest config, for every later round and run."""
+    """The partner fit on ``o``; at gamma 0, ``dataset.setup.gamma0``."""
     if cfg.gamma != 0:
         return partner.fit_partner(dataset, o, cfg, system)
-    fits = dataset.derived("gamma-0 partner", dict)
-    if cfg not in fits:
-        fits.clear()
-        fits[cfg] = partner.fit_partner(dataset, o, cfg, system)
-    return fits[cfg]
+    setup = dataset.setup
+    if setup.gamma0 is None or setup.gamma0[0] != cfg:
+        setup.gamma0 = None  # released before the new fit, not beside it
+        setup.gamma0 = cfg, partner.fit_partner(dataset, o, cfg, system)
+    return setup.gamma0[1]
 
 
 def _physical_memory() -> int:
@@ -175,7 +171,7 @@ def _check_memory(n_train: int, n_test: int, n_labels: int, specs: tuple) -> Non
     n_train^2 inverse, and once the triangle it is unpacked from), one block
     of test rows of the kernel matrix and the n x l arrays of a round and of
     its test output; the bandwidth's distances never set the peak (see
-    :func:`_prepare`).
+    :class:`~plcp.core.TrainSetup`).
     """
     triangle = n_train * (n_train + 1) // 2
     square = bool(specs) and kernel.holds_inverse(n_train, n_labels)
@@ -212,45 +208,37 @@ def _prepare(
     dataset: PartialLabelDataset, n_test: int, base: base_mod.BaseClassifierKind,
     partner_spec: kernel.KernelSpec | None = None,
 ) -> tuple:
-    """The setup of a run: what all its rounds share, from the train set's memo.
-
-    Returns ``base`` with its Gaussian bandwidth pinned, the base's kNN
-    table (one per k) or ridge system, and the pinned ``partner_spec`` with
-    its ridge system (None, None without one). In order: the memory check;
-    if the memo lacks a system or the bandwidth of the run, the drop of the
-    memo's systems it does not use; the bandwidth, whose n(n-1)/2 distances
-    so sit beside fewer systems than the run keeps; the partner's candidate
-    layout, the kNN table and the new ridge systems (partner, then a
-    kernel-ls base). The memo holds one run's systems, and a sweep, whose
-    cells come ridge-outer, builds each once per dataset.
+    """The setup of a run, read from and kept in ``dataset.setup`` (see
+    :class:`~plcp.core.TrainSetup`): ``base`` with its Gaussian bandwidth
+    pinned, the base's kNN table or ridge system, and the pinned
+    ``partner_spec`` with its ridge system (None, None without one).
     """
-    x, knn = dataset.features, base.kind == "pl-knn"
+    x, knn, setup = dataset.features, base.kind == "pl-knn", dataset.setup
     specs = [s for s in (partner_spec, None if knn else base.kernel) if s is not None]
     _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)))
-    systems, sigma = dataset.derived("ridge", dict), dataset._memo.get("sigma")
-    # pinned where the memo has the bandwidth; an unpinned spec is in no memo
-    specs = [replace(s, sigma=sigma) if s.kind == "gaussian" and s.sigma is None else s
+    # pinned where the setup has the bandwidth; an unpinned spec has no system
+    specs = [replace(s, sigma=setup.sigma) if s.kind == "gaussian" and s.sigma is None else s
              for s in specs]
-    if not systems.keys() >= set(specs):
-        for stale in systems.keys() - set(specs):
-            del systems[stale]
+    if not setup.systems.keys() >= set(specs):
+        for stale in setup.systems.keys() - set(specs):
+            del setup.systems[stale]
     for i, spec in enumerate(specs):
         if spec.kind == "gaussian" and spec.sigma is None:
-            sigma = dataset.derived("sigma", lambda: kernel.resolve_sigma(x, spec))
-            specs[i] = replace(spec, sigma=sigma)
+            if setup.sigma is None:
+                setup.sigma = kernel.resolve_sigma(x, spec)
+            specs[i] = replace(spec, sigma=setup.sigma)
     if partner_spec is not None:
-        partner.candidate_layout(dataset)
-    if knn:
-        key = ("neighbours", base.k_neighbors)
-        prepared = dataset.derived(key, lambda: base_mod.prepare(base, dataset))
+        dataset.candidate_layout  # built before the kNN table and the systems
+    if knn and base.k_neighbors not in setup.neighbours:
+        setup.neighbours[base.k_neighbors] = base_mod.prepare(base, dataset)
     for spec in specs:
-        if spec not in systems:
-            systems[spec] = kernel.ridge_system(x, spec, dataset.label_count)
+        if spec not in setup.systems:
+            setup.systems[spec] = kernel.ridge_system(x, spec, dataset.label_count)
     if not knn:
         base = replace(base, kernel=specs[-1])
-        prepared = systems[base.kernel]
+    prepared = setup.neighbours[base.k_neighbors] if knn else setup.systems[base.kernel]
     partner_spec = specs[0] if partner_spec is not None else None
-    return base, prepared, partner_spec, systems.get(partner_spec)
+    return base, prepared, partner_spec, setup.systems.get(partner_spec)
 
 
 def run_plcp(

@@ -66,11 +66,6 @@ def _objective(
     return fit_term + _coupling(o, c, config) + norm_term
 
 
-def candidate_layout(dataset: PartialLabelDataset) -> qp.CandidateLayout:
-    """The row QP's layout of the train set's candidates, from its memo."""
-    return dataset.derived("candidates", lambda: qp.candidate_layout(dataset.noncandidates))
-
-
 def fit_partner(
     dataset: PartialLabelDataset,
     o_supervision: np.ndarray,
@@ -81,14 +76,13 @@ def fit_partner(
 
     ``system`` may carry the ridge system of the train gram under
     ``config.kernel``; it is never mutated and can be shared across
-    repeated fits on the same dataset, as is the memoized
-    :func:`candidate_layout`. The model's arrays are read-only, so runs can
-    share the model too.
+    repeated fits on the same dataset, as is ``dataset.candidate_layout``.
+    The model's arrays are read-only, so runs can share the model too.
     """
     o = np.asarray(o_supervision, float)
     if o.shape != dataset.candidates.shape:
         raise ValueError("supervision shape must match the candidate matrix")
-    yhat, layout = dataset.noncandidates, candidate_layout(dataset)
+    yhat, layout = dataset.noncandidates, dataset.candidate_layout
     if system is None:
         system = kernel.ridge_system(dataset.features, config.kernel, dataset.label_count)
     elif system.ridge != config.kernel.ridge:

@@ -50,7 +50,7 @@ def _sweep(name: str, exp: cli.ExperimentConfig, seed: int, axes: dict) -> dict:
 
 def runs() -> list[dict[str, tuple[cli.ExperimentConfig, int]]]:
     """Groups of name -> (experiment, seed). The runs of a group share one
-    train set, as a sweep's cells of one split do, so the memo's gamma-0
+    train set, as a sweep's cells of one split do, so its setup's gamma-0
     partner fit and its drop of unused ridge systems run as in a sweep.
 
     Alone: the acceptance experiments with both bases, a run per base at the

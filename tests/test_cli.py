@@ -27,6 +27,7 @@ from plcp.core import PartialLabelDataset
 from plcp.data import SyntheticSpec, load_dataset
 from plcp.engine import EngineConfig, run_base_alone, run_plcp
 from plcp.metrics import accuracy, correction_metrics
+from plcp.partner import PartnerConfig
 
 GEN_SPEC = """
 [synthetic]
@@ -622,14 +623,20 @@ class TestSweep:
 class TestSharedDerivedState:
     """Each train set's sigma, ridge factors and kNN table are built once."""
 
-    def test_kernel_ls_seed_builds_one_sigma_gram_and_factor(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ridge", [0.05, 0.2])
+    def test_kernel_ls_seed_builds_one_sigma_gram_and_factor(self, tmp_path, monkeypatch, ridge):
         grams = record_calls(monkeypatch, kernel, "packed_gram")
         factors = record_calls(monkeypatch, kernel, "dpftrf")
         pdists = record_calls(monkeypatch, kernel, "pdist")
-        cli.run_seed(experiment(tmp_path, "kernel-ls"), 1)
-        # the bandwidth's pdist takes the default metric, the gram's sqeuclidean
+        exp = experiment(tmp_path, "kernel-ls")
+        partner_cfg = PartnerConfig(kernel=kernel.KernelSpec(ridge=ridge))
+        cli.run_seed(replace(exp, engine=replace(exp.engine, partner=partner_cfg)), 1)
+        # one system per distinct ridge of base and partner, both Gaussian
+        # with one bandwidth; the bandwidth's pdist takes the default
+        # metric, the gram's sqeuclidean
+        systems = len({kernel.KernelSpec().ridge, ridge})
         sigmas = [args for args, kwargs in pdists if len(args) == 1 and not kwargs]
-        assert (len(grams), len(factors), len(sigmas)) == (1, 1, 1)
+        assert (len(grams), len(factors), len(sigmas)) == (systems, systems, 1)
 
     def test_pl_knn_seed_searches_one_fit_path_table(self, tmp_path, monkeypatch):
         tables = record_calls(monkeypatch, base, "neighbour_table")

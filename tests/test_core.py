@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcp import qp
 from plcp.core import (
     PartialLabelDataset,
+    TrainSetup,
     init_confidence,
     update_labeling_confidence,
     update_noncandidate_confidence,
@@ -100,27 +104,26 @@ class TestDatasetArraysAndMemo:
         assert ds.features[0, 0] == 0.0 and ds.candidates[0, 0] == 1.0
         assert ds.ground_truth[0] == 0
 
-    def test_derived_builds_once_per_key(self):
+    def test_derived_state_builds_once_per_dataset(self, monkeypatch):
+        builds, build = [], qp.candidate_layout
+        monkeypatch.setattr(qp, "candidate_layout", lambda yhat: builds.append(yhat) or build(yhat))
         ds = make_dataset([[1, 1], [1, 0]])
-        calls = []
+        assert ds.candidate_layout is ds.candidate_layout
+        assert len(builds) == 1 and builds[0] is ds.noncandidates
+        # a new dataset starts with an empty setup, one per dataset
+        assert ds.setup is ds.setup and ds.setup == TrainSetup()
 
-        def build():
-            calls.append(1)
-            return object()
-
-        first = ds.derived("a", build)
-        assert ds.derived("a", build) is first
-        assert ds.derived("b", build) is not first
-        assert len(calls) == 2
-
-    def test_split_datasets_never_share_a_memo(self):
+    def test_split_datasets_never_share_a_setup(self):
         ds = generate_synthetic(SyntheticSpec(n=20, d=2, l=3, flip_q=0.3, seed=1))
         train, test = split(ds, 0.5, seed=2)
         again = PartialLabelDataset(train.features, train.candidates, train.ground_truth)
-        built = [d.derived("key", object) for d in (ds, train, test, again)]
-        assert len({id(value) for value in built}) == 4
-        # the memo takes no part in comparison or repr
-        assert "memo" not in repr(train)
+        for name in ("setup", "noncandidates", "candidate_layout"):
+            built = [getattr(d, name) for d in (ds, train, test, again)]
+            assert len({id(value) for value in built}) == 4, name
+        # the setup takes no part in construction, comparison or repr
+        setup = next(f for f in fields(PartialLabelDataset) if f.name == "setup")
+        assert not (setup.init or setup.compare or setup.repr)
+        assert "setup" not in repr(train)
 
 
 class TestInitConfidence:

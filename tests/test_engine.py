@@ -12,7 +12,7 @@ import pytest
 from plcp import base as base_mod
 from plcp import cli, engine, kernel, partner, qp
 from plcp.base import BaseClassifierKind
-from plcp.core import InvariantViolation, PartialLabelDataset, init_confidence
+from plcp.core import InvariantViolation, PartialLabelDataset, TrainSetup, init_confidence
 from plcp.data import SyntheticSpec, generate_synthetic, split
 from plcp.engine import EngineConfig, run_base_alone, run_plcp, should_stop
 from plcp.kernel import KernelSpec
@@ -208,7 +208,6 @@ class TestRunPlcp:
 @pytest.mark.parametrize("runner", ["run_plcp", "run_base_alone"])
 def test_non_finite_test_features_fail_before_any_work(monkeypatch, runner, base, bad):
     checks = count_calls(monkeypatch, engine, "_check_memory")
-    memo = count_calls(monkeypatch, PartialLabelDataset, "derived")
     grams = count_calls(monkeypatch, kernel, "packed_gram")
     sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
     ds = generate_synthetic(SyntheticSpec(n=40, d=3, l=3, flip_q=0.3, seed=5))
@@ -220,7 +219,9 @@ def test_non_finite_test_features_fail_before_any_work(monkeypatch, runner, base
             run_plcp(ds, test, EngineConfig(base=kind))
         else:
             run_base_alone(ds, test, kind)
-    assert checks == memo == grams == sigmas == []
+    assert checks == grams == sigmas == []
+    assert ds.setup == TrainSetup()
+    assert not vars(ds).keys() & {"noncandidates", "candidate_layout"}
 
 
 class TestInvariantChecks:
@@ -529,7 +530,7 @@ class TestGammaZeroPartner:
             config = EngineConfig(max_iter=2, partner=PartnerConfig(gamma=gamma))
             run_plcp(train, test.features, config)
         assert len(builds) == 1
-        assert len(partner.candidate_layout(train).index) < 9
+        assert len(train.candidate_layout.index) < 9
 
     def test_cached_partner_c_survives_later_fits(self):
         # the row QP returns a fresh array a fit, so no later fit on the
@@ -577,7 +578,7 @@ class TestMemoryCheck:
             run_plcp(ds, ds.features[:7], lambda_cell)
 
     def test_unused_factors_drop_before_the_bandwidth_distances(self, monkeypatch):
-        # a linear run leaves its 2.4 MiB factor in the memo; the next run's
+        # a linear run leaves its 2.4 MiB factor in the setup; the next run's
         # Gaussian bandwidth builds 2.4 MiB of pairwise distances only after
         # that factor is gone, so 4 MiB holds the run
         ds = generate_synthetic(SyntheticSpec(n=800, d=3, l=3, flip_q=0.3, seed=5))
@@ -587,29 +588,32 @@ class TestMemoryCheck:
 
         def resolving(x, spec):
             if spec.sigma is None:
-                held.append(list(ds._memo["ridge"]))
+                held.append(list(ds.setup.systems))
             return resolve(x, spec)
 
         monkeypatch.setattr(kernel, "resolve_sigma", resolving)
         monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
         run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
         assert held == [[]]
-        assert list(ds._memo["ridge"]) == [KernelSpec(sigma=ds._memo["sigma"])]
+        assert list(ds.setup.systems) == [KernelSpec(sigma=ds.setup.sigma)]
 
     def test_a_run_that_builds_no_factor_drops_none(self, monkeypatch):
-        # a kernel-ls run at partner ridge 0.2 keeps two factors; runs whose
-        # factors and bandwidth are all in the memo drop neither
+        # a kernel-ls run at partner ridge 0.2 keeps two factors on one
+        # bandwidth; runs whose factors and bandwidth are all in the setup
+        # drop neither
         ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=3, flip_q=0.3, seed=5))
         kind = BaseClassifierKind(kind="kernel-ls")
         partner_cfg = PartnerConfig(kernel=KernelSpec(ridge=0.2))
+        sigmas = count_calls(monkeypatch, kernel, "resolve_sigma")
         run_plcp(ds, ds.features[:7], EngineConfig(base=kind, partner=partner_cfg, max_iter=1))
-        both = list(ds._memo["ridge"])
-        assert len(both) == 2
+        both = list(ds.setup.systems)
+        unpinned = [spec for _, spec in sigmas if spec.sigma is None]
+        assert len(both) == 2 and len(unpinned) == 1
         grams = count_calls(monkeypatch, kernel, "packed_gram")
         run_base_alone(ds, ds.features[:7], BaseClassifierKind(kind="pl-knn"))
         run_plcp(ds, ds.features[:7], EngineConfig(partner=partner_cfg, max_iter=1))
         run_base_alone(ds, ds.features[:7], kind)
-        assert list(ds._memo["ridge"]) == both and grams == []
+        assert list(ds.setup.systems) == both and grams == []
 
     def test_label_arrays_count_beside_the_factor(self, monkeypatch):
         # 400 train rows at 171 labels: the inverse, the triangle it is

@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 
-from plcp import partner, qp
+from plcp import qp
 from plcp.core import InvariantViolation, PartialLabelDataset
 from plcp.kernel import (
     KernelSolve,
@@ -176,7 +176,7 @@ class TestFitPartner:
         o = uniform_supervision(dataset)
         first, second = (fit_partner(dataset, o, config) for _ in range(2))
         assert len(builds) == 1 and len(layouts) >= 2
-        assert all(layout is partner.candidate_layout(dataset) for layout in layouts)
+        assert all(layout is dataset.candidate_layout for layout in layouts)
         assert len(layouts[0].index) < 9  # the candidate-only path runs
         assert first.c.tobytes() == second.c.tobytes()
 
