@@ -157,8 +157,9 @@ def fit_predict_base(
     by the candidate set; the blend/clamp step downstream handles
     normalization. Query rows, unseen samples, get no mask. The kernel
     least-squares base answers both from one ridge regression onto the
-    supervision. ``prepared`` is what :func:`prepare` returns for ``kind``
-    and ``dataset``, built here when absent.
+    supervision and predicts query rows with its system's pinned kernel.
+    ``prepared`` is what :func:`prepare` returns for ``kind`` and
+    ``dataset``, built here when absent.
     """
     supervision = np.asarray(supervision, float)
     if supervision.shape != dataset.candidates.shape:
@@ -176,7 +177,7 @@ def fit_predict_base(
     solve = kernel.kkt_solve(prepared, supervision)
     if query is None:
         return solve.fitted, None
-    return solve.fitted, kernel.predict_query(solve, query, dataset.features, kind.kernel)
+    return solve.fitted, kernel.predict_query(solve, query, dataset.features, prepared.spec)
 
 
 def binarize_supervision(

@@ -15,9 +15,10 @@ streams.
 path; ``run`` is the sweep of its one configured cell. For each seed the
 loop builds each split once (only the ``flip_q`` axis gives a seed several
 splits) and runs that split's cells back to back. What the runs on a
-train set share lives in its ``setup`` (see ``core.TrainSetup``), so each
-piece is built once per split, and one split's at a time are alive. The
-output files list the rows cell-major, in grid order.
+train set share lives in its ``setup`` (see ``core.TrainSetup``), and the
+loop keeps one base-alone run per base config beside the split, so each
+is built once per split, and one split's at a time are alive. The output
+files list the rows cell-major, in grid order.
 
 Results CSV schema (one row per seed per method; ``sweep.csv`` puts the
 cell's sweep axis values first):
@@ -43,7 +44,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import itertools
 import math
 import os
@@ -344,20 +344,20 @@ def _timed(fn, *args):
     return result, 1000.0 * (time.perf_counter() - t0)
 
 
-def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None):
+def run_seed(exp: ExperimentConfig, seed: int, data: tuple | None = None,
+             base_runs: dict | None = None):
     """One seed's paired base / base-plcp comparison.
 
     ``data`` is the seed's (train, test) split, built here when absent. The
     base-alone run depends on nothing but the split and the base config, so
-    it is kept in ``train.setup.base_alone``. Returns (result rows,
-    trajectory rows).
+    ``base_runs``, the split's {base config: (labels, wall ms)}, keeps it for
+    the split's later cells. Returns (result rows, trajectory rows).
     """
     train, test = _split(exp, seed) if data is None else data
-    base, runs = exp.engine.base, train.setup.base_alone
-    key = base, hashlib.sha256(test.features).hexdigest()
-    if key not in runs:
-        runs[key] = _timed(run_base_alone, train, test.features, base)
-    (base_train, base_test), base_ms = runs[key]
+    base, runs = exp.engine.base, {} if base_runs is None else base_runs
+    if base not in runs:
+        runs[base] = _timed(run_base_alone, train, test.features, base)
+    (base_train, base_test), base_ms = runs[base]
     report, plcp_ms = _timed(run_plcp, train, test.features, exp.engine)
 
     def row(method, train_labels, test_labels, iterations, wall_ms):
@@ -472,14 +472,14 @@ def _run_cells(
         for index, (_, cell) in enumerate(cells):
             by_split.setdefault(_split_key(cell, seed), []).append(index)
         for indices in by_split.values():
-            data = None
+            data, base_runs = None, {}
             for index in indices:
                 cell_id, cell = cells[index]
                 rows, trajectory_rows, failures = out[index]
                 try:
                     if data is None:
                         data = _split(cell, seed)
-                    seed_rows, seed_traj = run_seed(cell, seed, data)
+                    seed_rows, seed_traj = run_seed(cell, seed, data, base_runs)
                 except Exception as exc:  # keep the remaining runs alive
                     failures.append(
                         {**cell_id, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}

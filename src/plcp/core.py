@@ -18,7 +18,7 @@ import numpy as np
 from . import blur, qp
 
 if TYPE_CHECKING:
-    from . import base, kernel, partner
+    from . import kernel, partner
 
 
 class InvariantViolation(AssertionError):
@@ -39,21 +39,20 @@ class TrainSetup:
     dataset, even with equal contents, builds its own.
 
     ``sigma``: the Gaussian bandwidth, resolved at most once. ``systems``:
-    the ridge systems of the latest run only. A run that lacks one of its
-    systems or the bandwidth first drops the systems it does not use, so the
-    bandwidth's n(n-1)/2 distances sit beside fewer systems than the run
+    the ridge systems of the latest run only, keyed by the spec the run was
+    given; each system holds its spec with the bandwidth pinned. A run that
+    lacks one of its systems first drops the systems it does not use, so
+    the bandwidth's n(n-1)/2 distances sit beside fewer systems than the run
     keeps; a sweep, whose cells come ridge-outer, builds each once.
     ``neighbours``: one PL-KNN table per neighbour count. ``gamma0``: the
     partner fit of the latest gamma-0 config, which never reads its
-    supervision, released before another config's is fitted. ``base_alone``:
-    (train, test) labels and wall ms per base config and test-row digest.
+    supervision, released before another config's is fitted.
     """
 
     sigma: float | None = None
     systems: dict[kernel.KernelSpec, kernel.RidgeSystem] = field(default_factory=dict)
     neighbours: dict[int, np.ndarray] = field(default_factory=dict)
     gamma0: tuple[partner.PartnerConfig, partner.PartnerModel] | None = None
-    base_alone: dict[tuple[base.BaseClassifierKind, str], tuple] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -208,37 +208,30 @@ def _prepare(
     dataset: PartialLabelDataset, n_test: int, base: base_mod.BaseClassifierKind,
     partner_spec: kernel.KernelSpec | None = None,
 ) -> tuple:
-    """The setup of a run, read from and kept in ``dataset.setup`` (see
-    :class:`~plcp.core.TrainSetup`): ``base`` with its Gaussian bandwidth
-    pinned, the base's kNN table or ridge system, and the pinned
-    ``partner_spec`` with its ridge system (None, None without one).
+    """The base's kNN table or ridge system and the ridge system of
+    ``partner_spec`` (None without one), read from and kept in
+    ``dataset.setup`` (see :class:`~plcp.core.TrainSetup`) under the specs
+    given here; each system records its spec with the bandwidth pinned.
     """
     x, knn, setup = dataset.features, base.kind == "pl-knn", dataset.setup
     specs = [s for s in (partner_spec, None if knn else base.kernel) if s is not None]
     _check_memory(len(x), n_test, dataset.label_count, tuple(set(specs)))
-    # pinned where the setup has the bandwidth; an unpinned spec has no system
-    specs = [replace(s, sigma=setup.sigma) if s.kind == "gaussian" and s.sigma is None else s
-             for s in specs]
+    unpinned = [s for s in specs if s.kind == "gaussian" and s.sigma is None]
     if not setup.systems.keys() >= set(specs):
         for stale in setup.systems.keys() - set(specs):
             del setup.systems[stale]
-    for i, spec in enumerate(specs):
-        if spec.kind == "gaussian" and spec.sigma is None:
-            if setup.sigma is None:
-                setup.sigma = kernel.resolve_sigma(x, spec)
-            specs[i] = replace(spec, sigma=setup.sigma)
+        if unpinned and setup.sigma is None:
+            setup.sigma = kernel.resolve_sigma(x, unpinned[0])
     if partner_spec is not None:
         dataset.candidate_layout  # built before the kNN table and the systems
     if knn and base.k_neighbors not in setup.neighbours:
         setup.neighbours[base.k_neighbors] = base_mod.prepare(base, dataset)
     for spec in specs:
         if spec not in setup.systems:
-            setup.systems[spec] = kernel.ridge_system(x, spec, dataset.label_count)
-    if not knn:
-        base = replace(base, kernel=specs[-1])
+            pinned = replace(spec, sigma=setup.sigma) if spec in unpinned else spec
+            setup.systems[spec] = kernel.ridge_system(x, pinned, dataset.label_count)
     prepared = setup.neighbours[base.k_neighbors] if knn else setup.systems[base.kernel]
-    partner_spec = specs[0] if partner_spec is not None else None
-    return base, prepared, partner_spec, setup.systems.get(partner_spec)
+    return prepared, setup.systems.get(partner_spec)
 
 
 def run_plcp(
@@ -250,10 +243,9 @@ def run_plcp(
     x = dataset.features
     y = dataset.candidates
     test_features = _as_test_matrix(dataset, test_features)
-    base_kind, base_prepared, partner_spec, system = _prepare(
+    base_prepared, system = _prepare(
         dataset, len(test_features), config.base, config.partner.kernel
     )
-    partner_cfg = replace(config.partner, kernel=partner_spec)
     yhat = dataset.noncandidates
 
     state = init_confidence(dataset, config.k)
@@ -263,7 +255,7 @@ def run_plcp(
 
     for _ in range(config.max_iter):
         del partner_model
-        m, _ = _fit_base(base_kind, dataset, state, base_prepared)
+        m, _ = _fit_base(config.base, dataset, state, base_prepared)
         p = update_labeling_confidence(state.p, m, y, config.alpha)
         o = blur.blur_labeling(p, y, config.k)
 
@@ -271,7 +263,7 @@ def run_plcp(
         # only what the round reads again: the last phat, new p and o, mask
         phat = state.phat
         del m, state
-        partner_model = _fit_partner(dataset, o, partner_cfg, system)
+        partner_model = _fit_partner(dataset, o, config.partner, system)
         phat = update_noncandidate_confidence(
             phat, kernel.training_output(partner_model.solve), yhat, config.alpha
         )
@@ -287,12 +279,12 @@ def run_plcp(
             break
 
     if config.predict_from_base:
-        _, m_test = _fit_base(base_kind, dataset, state, base_prepared, test_features)
+        _, m_test = _fit_base(config.base, dataset, state, base_prepared, test_features)
         test_predictions = np.argmax(m_test, axis=1)
     else:
         del p, phat, o, state  # the partner alone predicts the test rows
         test_predictions = partner.labels_from_output(
-            kernel.predict_query(partner_model.solve, test_features, x, partner_spec)
+            kernel.predict_query(partner_model.solve, test_features, x, system.spec)
         )
 
     return RunReport(snapshots, partner_model, test_predictions)
@@ -311,7 +303,7 @@ def run_base_alone(
     samples have no candidate mask.
     """
     test_features = _as_test_matrix(dataset, test_features)
-    kind, prepared, _, _ = _prepare(dataset, len(test_features), kind)
+    prepared, _ = _prepare(dataset, len(test_features), kind)
     p0 = dataset.candidates / dataset.candidates.sum(axis=1, keepdims=True)
     m_train, m_test = base_mod.fit_predict_base(kind, dataset, p0, prepared, test_features)
     return _masked_argmax(m_train, dataset.candidates), np.argmax(m_test, axis=1)

@@ -69,13 +69,15 @@ class RidgeSystem:
 
     Built by :func:`ridge_system`, whose factor lives in the buffer
     :func:`packed_gram` filled. Every :func:`kkt_solve` on it reuses the
-    factor or the inverse, and ``s_row``.
+    factor or the inverse, and ``s_row``. ``spec`` is the kernel its gram
+    was built with, bandwidth pinned, so query rows are predicted with it.
     """
 
     ridge: float
     factor: np.ndarray | None  # (n(n+1)/2,) lower Cholesky factor of B, RFP with TRANSR='N'
     s_row: np.ndarray  # (n,) 1^T B^{-1}
     inverse: np.ndarray | None = None  # (n, n) B^{-1}, in place of the factor
+    spec: KernelSpec | None = None  # None for a gram given to kkt_solve
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,9 @@ def ridge_system(x: np.ndarray, spec: KernelSpec, labels: int = 0) -> RidgeSyste
     """Factor ``B = K/(2*ridge) + I/2`` of ``x``'s gram under ``spec`` once
     for every solve on it onto ``labels`` columns, in the buffer of
     :func:`packed_gram`, then invert it if :func:`holds_inverse`."""
-    return _factor(packed_gram(x, spec), spec.ridge, labels)
+    if spec.kind == "gaussian" and spec.sigma is None:
+        spec = replace(spec, sigma=resolve_sigma(x, spec))
+    return replace(_factor(packed_gram(x, spec), spec.ridge, labels), spec=spec)
 
 
 def _factor(packed: np.ndarray, ridge: float, labels: int = 0) -> RidgeSystem:

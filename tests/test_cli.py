@@ -411,12 +411,13 @@ class TestRunSeed:
     def test_base_alone_run_kept_on_the_train_set(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, cli, "run_base_alone")
         exp = experiment(tmp_path, "pl-knn")
-        data = cli._split(exp, 1)
-        first = cli.run_seed(exp, 1, data)[0]
-        again = cli.run_seed(replace(exp, engine=replace(exp.engine, alpha=0.7)), 1, data)[0]
+        data, base_runs = cli._split(exp, 1), {}
+        first = cli.run_seed(exp, 1, data, base_runs)[0]
+        alpha_cell = replace(exp, engine=replace(exp.engine, alpha=0.7))
+        again = cli.run_seed(alpha_cell, 1, data, base_runs)[0]
         assert len(calls) == 1
         assert again[0] == first[0]
-        cli.run_seed(exp, 1, cli._split(exp, 1))
+        cli.run_seed(exp, 1, cli._split(exp, 1), {})
         assert len(calls) == 2
 
     def test_base_alone_run_kept_per_test_set(self, tmp_path):
@@ -440,10 +441,10 @@ class TestSweep:
         # seed 2 fails inside its run, after its split is built
         original = cli.run_seed
 
-        def failing_seed_2(exp, seed, data=None):
+        def failing_seed_2(exp, seed, data=None, base_runs=None):
             if seed == 2:
                 raise RuntimeError("seed 2 fails")
-            return original(exp, seed, data)
+            return original(exp, seed, data, base_runs)
 
         monkeypatch.setattr(cli, "run_seed", failing_seed_2)
 
@@ -548,6 +549,28 @@ class TestSweep:
         base = [r for r in rows if r["method"] == "pl-knn"]
         for seed in (1, 2):
             assert len({r["test_accuracy"] for r in base if r["seed"] == seed}) == 1
+
+    def test_base_alone_runs_once_per_base_config(self, tmp_path, monkeypatch):
+        # one split, two neighbour counts: each cell's base row is the
+        # base-alone run of its own k, run once for both alpha values
+        bases = record_calls(monkeypatch, cli, "run_base_alone")
+        cfg = write(
+            tmp_path / "sweep.ini",
+            RUN_CONFIG.format(n=60, max_iter=1, seeds="1", out_dir=tmp_path / "out", emit="false")
+            + "\n[sweep]\nk_neighbors = 3,5\nalpha = 0.3,0.7\n",
+        )
+        assert main(["sweep", cfg]) == 0
+        assert [args[2].k_neighbors for args, _ in bases] == [3, 5]
+        exp = parse_experiment_config(cfg)
+        train, test = cli._split(exp, 1)
+        rows = [r for r in read_results_csv(tmp_path / "out" / "sweep.csv")
+                if r["method"] == "pl-knn"]
+        assert sorted(r["k_neighbors"] for r in rows) == [3, 3, 5, 5]
+        for row in rows:
+            kind = replace(exp.engine.base, k_neighbors=row["k_neighbors"])
+            base_train, base_test = run_base_alone(train, test.features, kind)
+            assert row["test_accuracy"] == accuracy(base_test, test.ground_truth)
+            assert row["transductive_accuracy"] == accuracy(base_train, train.ground_truth)
 
     def test_split_and_base_alone_once_per_seed_and_split(self, tmp_path, monkeypatch):
         splits = record_calls(monkeypatch, cli, "_split")

@@ -389,9 +389,10 @@ def test_one_n_by_n_array_per_run(base):
 @pytest.mark.parametrize("base", ["pl-knn", "kernel-ls"])
 def test_a_warm_run_holds_few_label_arrays(base):
     # at 171 labels a round's n x l arrays outweigh the factor; a warm run,
-    # whose memo holds the mask, the layout and the factor, peaks at about
-    # 9.2 arrays of n_train x l (with as many test rows); a round that kept
-    # its last state or partner past their last read would exceed 12
+    # whose train set holds the mask, the layout and, in its TrainSetup, the
+    # factor, peaks at about 9.2 arrays of n_train x l (with as many test
+    # rows); a round that kept its last state or partner past their last
+    # read would exceed 12
     ds = generate_synthetic(SyntheticSpec(n=1200, d=8, l=171, flip_q=1.1 / 170, seed=3))
     train, test = split(ds, 0.5, seed=3)
     config = EngineConfig(base=BaseClassifierKind(kind=base))
@@ -534,7 +535,7 @@ class TestGammaZeroPartner:
 
     def test_cached_partner_c_survives_later_fits(self):
         # the row QP returns a fresh array a fit, so no later fit on the
-        # train set can write into the c that the memo keeps
+        # train set can write into the c that setup.gamma0 keeps
         ds = generate_synthetic(SyntheticSpec(n=120, d=3, l=4, flip_q=0.4, seed=31))
         train, test = split(ds, 0.5, seed=32)
         config = EngineConfig(max_iter=2, partner=PartnerConfig(gamma=0.0))
@@ -595,7 +596,8 @@ class TestMemoryCheck:
         monkeypatch.setattr(engine, "_physical_memory", lambda: 4 << 20)
         run_plcp(ds, ds.features[:7], EngineConfig(max_iter=1))
         assert held == [[]]
-        assert list(ds.setup.systems) == [KernelSpec(sigma=ds.setup.sigma)]
+        assert list(ds.setup.systems) == [KernelSpec()]
+        assert ds.setup.systems[KernelSpec()].spec == KernelSpec(sigma=ds.setup.sigma)
 
     def test_a_run_that_builds_no_factor_drops_none(self, monkeypatch):
         # a kernel-ls run at partner ridge 0.2 keeps two factors on one

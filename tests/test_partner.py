@@ -142,7 +142,7 @@ class TestFitPartner:
 
     @pytest.mark.parametrize("aggressive", [False, True])
     def test_gamma_zero_fit_does_not_read_the_supervision(self, aggressive):
-        # the engine's memo serves one gamma-0 fit to every later round and run
+        # the engine's setup.gamma0 serves one gamma-0 fit to every later round and run
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng)
         skewed = dataset.candidates * rng.random(dataset.candidates.shape)
